@@ -108,12 +108,6 @@ class SparseEntries:
             norm.append((m, n, complex(v)))
         object.__setattr__(self, "triplets", tuple(norm))
 
-    def by_row(self, m: int) -> list:
-        return [(n, v) for (r, n, v) in self.triplets if r == m]
-
-    def by_col(self, n: int) -> list:
-        return [(m, v) for (m, c, v) in self.triplets if c == n]
-
     def dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=complex)
         for m, n, v in self.triplets:

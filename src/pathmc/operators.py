@@ -16,6 +16,7 @@ decomposition, the transition laws, and the bound at small dimensions.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple
@@ -35,6 +36,7 @@ from .linalg import (
     NormPair,
     SparseEntries,
     as_complex_matrix,
+    dense_exp,
     generalized_singular_vectors,
 )
 from .sampling import CumulativeTable, sample_poisson
@@ -182,9 +184,9 @@ class _TableOp(PathOperator):
                 continue
             cols, alphas, probs_p = support
             for n, a, pp in zip(cols, alphas, probs_p):
-                yield SupportEntry(m, n, None, a, pp, self._prob_q(m, n))
+                yield SupportEntry(m, n, None, a, pp, self._prob_q(m, n, a))
 
-    def _prob_q(self, m: int, n: int) -> float:
+    def _prob_q(self, m: int, n: int, alpha: complex) -> float:
         raise NotImplementedError
 
 
@@ -249,7 +251,7 @@ class DenseOptimal(_TableOp):
             phase * float(self._col_w[n] / self._u[m]),
         )
 
-    def _prob_q(self, m, n):
+    def _prob_q(self, m, n, alpha):
         return float(self._abs[m, n] * self._u[m] / self._col_w[n])
 
 
@@ -258,7 +260,8 @@ class RowCol(_TableOp):
 
     The certified bound is ``r**(1/p) * c**(1/q)`` where r and c are the
     largest absolute row and column sums. Rows or columns with no weight are
-    rejected at construction.
+    dead: a path that reaches one carries no weight. A matrix with no weight
+    at all is rejected at construction.
     """
 
     def __init__(self, matrix, pair: NormPair = NormPair()):
@@ -281,12 +284,8 @@ class RowCol(_TableOp):
             self._by_col[n].append((m, v))
             row_sum[m] += abs(v)
             col_sum[n] += abs(v)
-        for m, s in enumerate(row_sum):
-            if s == 0.0:
-                raise DeadRow(f"row {m} has no weight; row/column transitions need full support")
-        for n, s in enumerate(col_sum):
-            if s == 0.0:
-                raise DeadColumn(f"column {n} has no weight; row/column transitions need full support")
+        if not items:
+            raise InvalidParameter("the matrix carries no weight anywhere")
         self._row_sum = row_sum
         self._col_sum = col_sum
         r = max(row_sum)
@@ -294,12 +293,16 @@ class RowCol(_TableOp):
         self.bound = r ** pair.inv_p * c ** pair.inv_q
 
     def _row_support(self, m):
+        if not self._by_row[m]:
+            return None
         cols = [n for n, _ in self._by_row[m]]
         alphas = [v for _, v in self._by_row[m]]
         s = self._row_sum[m]
         return cols, alphas, [abs(v) / s for v in alphas]
 
     def _col_support(self, n):
+        if not self._by_col[n]:
+            return None
         rows = [m for m, _ in self._by_col[n]]
         alphas = [v for _, v in self._by_col[n]]
         s = self._col_sum[n]
@@ -309,11 +312,8 @@ class RowCol(_TableOp):
         phase = alpha / abs(alpha)
         return phase * self._row_sum[m], phase * self._col_sum[n]
 
-    def _prob_q(self, m, n):
-        for r, v in self._by_col[n]:
-            if r == m:
-                return abs(v) / self._col_sum[n]
-        return 0.0
+    def _prob_q(self, m, n, alpha):
+        return abs(alpha) / self._col_sum[n]
 
 
 def from_dense_optimal(matrix, pair: NormPair = NormPair()) -> DenseOptimal:
@@ -481,35 +481,50 @@ def pauli_string(letters: str, pair: NormPair = NormPair()) -> PauliString:
     return PauliString(letters, pair)
 
 
-class UniformDyad(PathOperator):
-    """The rank-one matrix with every entry 1/dim (a uniform projector).
+class FlatOperator(PathOperator):
+    """A square matrix whose entries share one magnitude ``s`` and carry a
+    symmetric unit-modulus phase: ``A[m, n] = s * phases[key(m, n)]``.
 
-    Both transition laws are uniform and every ratio is exactly one, for any
-    exponent pair, so the certified bound is 1.
+    Both transition laws are uniform, so every ratio is ``N * s`` times the
+    phase and the certified bound is ``N * s`` for every exponent pair. The
+    operator holds its phase table, never the N x N matrix. Symmetry makes
+    the transpose the operator itself; the adjoint conjugates the table.
     """
 
-    def __init__(self, dim: int, pair: NormPair = NormPair()):
-        if dim <= 0:
-            raise InvalidParameter("dimension must be positive")
+    def __init__(self, dim: int, magnitude: float, phases, key, structure: tuple,
+                 pair: NormPair = NormPair()):
         self.rows = self.cols = dim
         self.pair = pair
-        self.bound = 1.0
-        self.structure = ("uniform_dyad", dim)
+        self.bound = dim * magnitude
+        self.structure = structure
+        self._magnitude = magnitude
+        self._phases = [complex(ph) for ph in phases]
+        self._key = key
+        self._ratios = [self.bound * ph for ph in self._phases]
 
     def sample_forward(self, m, rng):
-        return Transition(int(rng.random() * self.rows), None, 1.0 + 0j, 1.0 + 0j)
+        n = int(rng.random() * self.rows)
+        r = self._ratios[self._key(m, n)]
+        return Transition(n, None, r, r)
 
     def sample_backward(self, n, rng):
-        return Transition(int(rng.random() * self.rows), None, 1.0 + 0j, 1.0 + 0j)
+        m = int(rng.random() * self.rows)
+        r = self._ratios[self._key(m, n)]
+        return Transition(m, None, r, r)
 
     def entries(self):
         inv = 1.0 / self.rows
+        s, phases, key = self._magnitude, self._phases, self._key
         for m in range(self.rows):
             for n in range(self.cols):
-                yield SupportEntry(m, n, None, complex(inv), inv, inv)
+                yield SupportEntry(m, n, None, s * phases[key(m, n)], inv, inv)
 
     def adjoint(self):
-        return self
+        if all(ph.imag == 0.0 for ph in self._phases):
+            return self
+        return FlatOperator(self.rows, self._magnitude,
+                            [ph.conjugate() for ph in self._phases], self._key,
+                            self.structure, self.pair)
 
     def transpose(self):
         return self
@@ -519,7 +534,9 @@ def grover_reflection(n_qubits: int, pair: NormPair = NormPair()) -> PathOperato
     """The reflection 1 - 2|u><u| about the uniform state on n qubits,
     expressed as a two-term mixture with certified bound 3."""
     dim = 1 << n_qubits
-    op = sum_ops([(1.0, identity_op(dim, pair)), (-2.0, UniformDyad(dim, pair))])
+    uniform = FlatOperator(dim, 1.0 / dim, [1.0], lambda m, n: 0,
+                           ("uniform_dyad", dim), pair)
+    op = sum_ops([(1.0, identity_op(dim, pair)), (-2.0, uniform)])
     op.structure = ("grover", n_qubits)
     return op
 
@@ -681,26 +698,22 @@ def shift_oracle(g, x_size: int, y_size: int, pair: NormPair = NormPair(),
     return ShiftOracle(g, x_size, y_size, pair, counter)
 
 
-def fourier_transform(n_qubits: int, pair: NormPair = NormPair()) -> RowCol:
-    """The discrete Fourier matrix F[j, k] = exp(2 pi i j k / N) / sqrt(N)
-    with row/column transitions (uniform magnitudes make them optimal)."""
+def fourier_transform(n_qubits: int, pair: NormPair = NormPair()) -> FlatOperator:
+    """The discrete Fourier matrix F[j, k] = exp(2 pi i j k / N) / sqrt(N),
+    held as its N roots of unity, indexed by ``j * k mod N``."""
     dim = 1 << n_qubits
-    j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    mat = np.exp(2j * np.pi * j * k / dim) / math.sqrt(dim)
-    op = RowCol(mat, pair)
-    op.structure = ("fourier", n_qubits)
-    return op
+    roots = [cmath.exp(2j * math.pi * k / dim) for k in range(dim)]
+    return FlatOperator(dim, 1.0 / math.sqrt(dim), roots, lambda j, k: j * k % dim,
+                        ("fourier", n_qubits), pair)
 
 
-def walsh_hadamard(n_qubits: int, pair: NormPair = NormPair()) -> RowCol:
-    """The n-qubit Hadamard transform with row/column transitions."""
+def walsh_hadamard(n_qubits: int, pair: NormPair = NormPair()) -> FlatOperator:
+    """The n-qubit Hadamard transform: the sign of entry (j, k) is the
+    parity of ``j & k``."""
     dim = 1 << n_qubits
-    signs = (-1.0) ** np.array(
-        [[bin(a & b).count("1") for b in range(dim)] for a in range(dim)]
-    )
-    op = RowCol(signs / math.sqrt(dim), pair)
-    op.structure = ("hadamard", n_qubits)
-    return op
+    return FlatOperator(dim, 1.0 / math.sqrt(dim), [1.0, -1.0],
+                        lambda j, k: (j & k).bit_count() & 1,
+                        ("hadamard", n_qubits), pair)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1035,8 @@ class ExpOp(PathOperator):
     applied anywhere in sampling); a draw of l chains l inner transitions.
     The certified bound is exp(inner bound). Support enumeration, used only
     by small-dimension audits, cuts the series where the remaining weight
-    drops below 1e-18.
+    drops below 1e-18; the dense matrix is the exponential of the inner
+    dense matrix.
     """
 
     def __init__(self, inner: PathOperator):
@@ -1064,6 +1078,9 @@ class ExpOp(PathOperator):
             cur = t.index
         pairs.reverse()
         return Transition(cur, (length, tuple(pairs)), rp, rq)
+
+    def dense(self):
+        return dense_exp(self._inner.dense())
 
     def entries(self):
         rate = self._rate

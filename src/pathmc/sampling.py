@@ -56,31 +56,6 @@ def sample_count(epsilon: float, delta: float, b: float) -> int:
     return max(1, int(k))
 
 
-def sample_discrete(weights, rng: random.Random) -> int:
-    """Draw an index proportionally to a one-off list of nonnegative weights.
-
-    Uses cumulative inversion: a single uniform draw is mapped through the
-    running sum. For distributions sampled many times build a
-    :class:`CumulativeTable` once instead.
-    """
-    total = 0.0
-    for w in weights:
-        if not (w >= 0.0) or math.isinf(w):
-            raise InvalidParameter(f"weights must be finite and nonnegative, got {w}")
-        total += w
-    if not (total > 0.0):
-        raise InvalidParameter("weights sum to zero")
-    r = rng.random() * total
-    acc = 0.0
-    last = 0
-    for i, w in enumerate(weights):
-        acc += w
-        last = i
-        if r < acc:
-            return i
-    return last
-
-
 class CumulativeTable:
     """Precomputed cumulative sums for repeated draws from fixed weights."""
 
@@ -103,13 +78,6 @@ class CumulativeTable:
         idx = bisect_right(self._cum, rng.random() * self.total)
         last = len(self._cum) - 1
         return idx if idx < last else last
-
-
-def coin(prob_heads: float, rng: random.Random) -> bool:
-    """Bernoulli draw. ``prob_heads`` of 0 or 1 is exact, never approximate."""
-    if not (0.0 <= prob_heads <= 1.0):
-        raise InvalidParameter(f"probability must lie in [0, 1], got {prob_heads}")
-    return rng.random() < prob_heads
 
 
 def sample_poisson(b: float, rng: random.Random) -> int:
@@ -175,14 +143,6 @@ class StreamingMoments:
         if self.count < 2:
             return 0.0
         return math.sqrt(self._m2 / (self.count - 1))
-
-
-def streaming_mean(values) -> tuple:
-    """Mean and sample standard deviation of an iterable, in one pass."""
-    acc = StreamingMoments()
-    for v in values:
-        acc.add(v)
-    return acc.mean, acc.std
 
 
 @dataclass

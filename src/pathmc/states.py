@@ -116,15 +116,17 @@ class ProductState(SampleableState):
     """
 
     def __init__(self, factors):
-        self._factors = [np.asarray(f, dtype=complex).ravel() for f in factors]
-        if not self._factors:
+        vecs = [np.asarray(f, dtype=complex).ravel() for f in factors]
+        if not vecs:
             raise InvalidParameter("product state needs at least one factor")
-        for k, f in enumerate(self._factors):
+        for k, f in enumerate(vecs):
             if abs(float(np.sum(np.abs(f) ** 2)) - 1.0) > _NORM_TOL:
                 raise NotNormalized(f"factor {k} is not unit in the 2-norm")
-        self.dims = [f.size for f in self._factors]
+        # DenseVector refuses empty and non-finite factors and caches each
+        # factor's power laws
+        self._factors = [DenseVector(f) for f in vecs]
+        self.dims = [f.dim for f in self._factors]
         self.dim = math.prod(self.dims)
-        self._tables: dict = {}
 
     def _digits(self, i: int):
         out = []
@@ -135,46 +137,28 @@ class ProductState(SampleableState):
 
     def amplitude(self, i):
         val = 1.0 + 0j
+        # the product of the numpy entries, whose rounding every ratio
+        # computed from this amplitude inherits
         for f, d in zip(self._factors, self._digits(i)):
-            val *= f[d]
+            val *= f._vec[d]
         return val
 
     def pnorm(self, p):
         out = 1.0
         for f in self._factors:
-            mags = np.abs(f)
-            if p == math.inf:
-                out *= float(mags.max())
-            else:
-                out *= float(np.sum(mags ** p) ** (1.0 / p))
+            out *= f.pnorm(p)
         return out
 
     def law_prob(self, i, p):
         prob = 1.0
         for f, d in zip(self._factors, self._digits(i)):
-            idx, probs = _law(f, p)
-            try:
-                prob *= probs[idx.index(d)]
-            except ValueError:
-                return 0.0
+            prob *= f.law_prob(d, p)
         return prob
-
-    def _factor_tables(self, p):
-        hit = self._tables.get(p)
-        if hit is None:
-            hit = []
-            for f in self._factors:
-                idx, probs = _law(f, p)
-                if not idx:
-                    raise ZeroVector("a product factor has no weight")
-                hit.append((idx, CumulativeTable(probs)))
-            self._tables[p] = hit
-        return hit
 
     def sample_index(self, p, rng):
         out = 0
-        for (idx, table), d in zip(self._factor_tables(p), self.dims):
-            out = out * d + idx[table.draw(rng)]
+        for f in self._factors:
+            out = out * f.dim + f.sample_index(p, rng)
         return out
 
 
@@ -483,42 +467,28 @@ class LowRankEndpoint(ChainEndpoint):
         self.bound = total
         self._mix = CumulativeTable(weights)
         self._share = [w / total for w in weights]
-        p, q = pair.p, pair.q
-        self._head_laws = [_law(u, p) for _, u, _ in self._terms]
-        self._tail_laws = [_law(v, q) for _, _, v in self._terms]
-        self._head_tables = [CumulativeTable(pr) for _, pr in self._head_laws]
-        self._tail_tables = [CumulativeTable(pr) for _, pr in self._tail_laws]
+        # DenseVector refuses non-finite factors and caches their power laws
+        self._heads = [DenseVector(u) for _, u, _ in self._terms]
+        self._tails = [DenseVector(v) for _, _, v in self._terms]
 
     def head_prob(self, col: int) -> float:
-        out = 0.0
-        for share, (idx, probs) in zip(self._share, self._head_laws):
-            try:
-                out += share * probs[idx.index(col)]
-            except ValueError:
-                pass
-        return out
+        p = self.pair.p
+        return sum(share * u.law_prob(col, p)
+                   for share, u in zip(self._share, self._heads))
 
     def tail_prob(self, row: int) -> float:
-        out = 0.0
-        for share, (idx, probs) in zip(self._share, self._tail_laws):
-            try:
-                out += share * probs[idx.index(row)]
-            except ValueError:
-                pass
-        return out
+        q = self.pair.q
+        return sum(share * v.law_prob(row, q)
+                   for share, v in zip(self._share, self._tails))
 
     def _alpha(self, row, col):
         return sum(s * v[row] * u[col] for s, u, v in self._terms)
 
     def sample_head(self, rng):
-        i = self._mix.draw(rng)
-        idx, _ = self._head_laws[i]
-        return idx[self._head_tables[i].draw(rng)], None
+        return self._heads[self._mix.draw(rng)].sample_index(self.pair.p, rng), None
 
     def sample_tail(self, rng):
-        i = self._mix.draw(rng)
-        idx, _ = self._tail_laws[i]
-        return idx[self._tail_tables[i].draw(rng)], None
+        return self._tails[self._mix.draw(rng)].sample_index(self.pair.q, rng), None
 
     def ratios(self, row, col, tag):
         alpha = self._alpha(row, col)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from pathmc import sample_count
 from pathmc.cli import load_file, main
@@ -272,6 +273,42 @@ def test_runtime_refusals_exit_three(capsys, tmp_path):
                            "--epsilon", "0.5", "--delta", "0.5")
     assert code == 3
     assert "positivity" in err
+
+
+def test_exact_exponential_of_dense(capsys, tmp_path):
+    h = np.array([[1.0, 0.5, 0.0], [0.5, -1.0, 0.25], [0.0, 0.25, 0.5]])
+    doc = {
+        "schema_version": 1,
+        "n_levels": 3,
+        "p": 2,
+        "state": {"kind": "basis", "index": 0},
+        "operators": [{
+            "kind": "exp",
+            "inner": {"kind": "scaled", "scale": [0.0, -1.0],
+                      "inner": {"kind": "dense", "matrix": h.tolist()}},
+        }],
+        "measurement": {"kind": "diagonal", "values": [1.0, -1.0, 1.0]},
+    }
+    code, out, _ = run_cli(capsys, "exact", write(tmp_path, doc))
+    assert code == 0
+    u = expm(-1j * h)
+    want = (u.conj().T @ np.diag([1.0, -1.0, 1.0]) @ u)[0, 0]
+    got = json.loads(out)["expectation"]
+    assert complex(*got) == pytest.approx(want, abs=1e-12)
+
+
+def test_non_finite_product_factor_exits_two(capsys, tmp_path):
+    doc = {
+        "schema_version": 1,
+        "n_levels": 4,
+        "p": 2,
+        "state": {"kind": "product", "factors": [[math.nan, 1.0], [1.0, 0.0]]},
+        "operators": [],
+        "measurement": {"kind": "pauli", "letters": "ZZ"},
+    }
+    code, _, err = run_cli(capsys, "estimate", write(tmp_path, doc))
+    assert code == 2
+    assert "non-finite" in err
 
 
 def test_argparse_errors_exit_two():

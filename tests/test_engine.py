@@ -312,6 +312,21 @@ def test_stochastic_mode_prices_negativity():
     assert abs(out.estimate - exact) <= 0.1
 
 
+def test_stochastic_mode_dead_rows_and_columns():
+    # a zero row is never reached by the column laws
+    out = stochastic_mode_estimate([0.5, 0.5], [np.array([[1.0, 1.0], [0.0, 0.0]])],
+                                   [1.0, 1.0], epsilon=0.05, delta=0.05, seed=1)
+    assert out.estimate == pytest.approx(1.0)
+    # a zero column kills the paths that start in it
+    dead = np.array([[1.0, 0.0], [0.0, 0.0]])
+    out = stochastic_mode_estimate([0.5, 0.5], [dead], [1.0, 1.0],
+                                   epsilon=0.05, delta=0.05, seed=2)
+    assert abs(out.estimate - 0.5) <= 0.05
+    with pytest.raises(InvalidParameter):
+        stochastic_mode_estimate([0.5, 0.5], [np.zeros((2, 2))], [1.0, 1.0],
+                                 epsilon=0.1, delta=0.1)
+
+
 def test_stochastic_mode_refuses_runaway_cost():
     m = np.array([[-4.0, 5.0], [5.0, -4.0]])
     with pytest.raises(NegativeMassOverflow):
@@ -320,3 +335,29 @@ def test_stochastic_mode_refuses_runaway_cost():
     with pytest.raises(DimensionMismatch):
         stochastic_mode_estimate([0.5, 0.5], [np.ones((2, 3))], [1.0, 1.0],
                                  epsilon=0.1, delta=0.1)
+
+
+def test_fourier_circuit_away_from_the_balanced_pair():
+    pair = NormPair.from_p(3.0)
+    state = basis_state(1, 4)
+    circuit = Circuit(
+        dyad(state, state, pair),
+        [fourier_transform(2, pair), diagonal_unitary([1.0, 1j, -1.0, 1j], pair=pair)],
+        pauli_string("XZ", pair),
+        pair,
+    )
+    out = estimate_expectation(circuit, epsilon=0.15, delta=0.05, seed=6)
+    assert out.b == pytest.approx(4.0)
+    assert abs(out.estimate - expectation_exact(circuit)) <= 0.15
+
+
+def test_sixteen_qubit_transform_sandwich():
+    dim = 1 << 16
+    u = uniform_state(dim)
+    # H F |u> = H |0> = |u>, so the projector onto |u> reads one
+    circuit = Circuit(dyad(u, u), [fourier_transform(16), walsh_hadamard(16)],
+                      StateAsOperator(dyad(u, u)))
+    b = 2.0 ** 32
+    out = estimate_expectation(circuit, epsilon=b / 4, delta=0.05, seed=0)
+    assert out.b == pytest.approx(b)
+    assert abs(out.estimate - 1.0) <= b / 4

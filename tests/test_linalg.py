@@ -48,8 +48,6 @@ def test_norm_pair_validation():
 def test_sparse_entries_validation():
     s = SparseEntries(2, 3, ((0, 0, 1.0), (1, 2, -2j)))
     assert s.dense()[1, 2] == -2j
-    assert s.by_row(1) == [(2, -2j)]
-    assert s.by_col(0) == [(0, 1.0 + 0j)]
     with pytest.raises(InvalidParameter):
         SparseEntries(2, 2, ((0, 0, 1.0), (0, 0, 2.0)))
     with pytest.raises(DimensionMismatch):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -126,10 +127,15 @@ def test_grover_reflection():
 
 def test_rowcol_bound_and_support():
     mat = np.array([[1.0, -2.0], [0.5j, 0.0 + 0j]])
+    # rows and columns without weight are dead when a path reaches them
     with pytest.raises(DeadColumn):
-        from_rowcol(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        from_rowcol(np.array([[1.0, 0.0], [2.0, 0.0]])).sample_backward(1, RngStream(0))
+    zero_row = np.array([[0.0, 0.0], [2.0, 1.0j]])
     with pytest.raises(DeadRow):
-        from_rowcol(np.array([[0.0, 0.0], [2.0, 1.0]]))
+        from_rowcol(zero_row).sample_forward(0, RngStream(0))
+    assert_operator_certificate(from_rowcol(zero_row), zero_row)
+    with pytest.raises(InvalidParameter):
+        from_rowcol(np.zeros((2, 2)))
     for pair in (NormPair.from_p(1.0), NormPair.from_p(1.5), NormPair(2.0), NormPair.from_p(4.0), NormPair.from_p(math.inf)):
         op = from_rowcol(mat, pair)
         r = 3.0  # largest absolute row sum
@@ -250,6 +256,23 @@ def test_fourier_and_hadamard():
         assert np.allclose(w.dense(), hn, atol=1e-12)
     assert_operator_certificate(fourier_transform(2))
     assert_operator_certificate(walsh_hadamard(2))
+    for p in (1.5, 2.0, 3.0):
+        pair = NormPair.from_p(p)
+        for op in (fourier_transform(2, pair), walsh_hadamard(2, pair)):
+            mat = op.dense()
+            assert np.allclose(op.adjoint().dense(), mat.conj().T, atol=1e-12)
+            assert np.allclose(op.transpose().dense(), mat.T, atol=1e-12)
+            assert_operator_certificate(op.adjoint(), mat.conj().T, draws=1000)
+
+
+def test_transforms_build_without_dense_tables():
+    for build in (fourier_transform, walsh_hadamard):
+        started = time.perf_counter()
+        op = build(16)
+        assert time.perf_counter() - started < 1.0
+        assert op.bound == pytest.approx(2.0 ** 8)
+        t = op.sample_forward(12345, RngStream(0))
+        assert abs(t.ratio_p) == pytest.approx(2.0 ** 8)
 
 
 def test_scaled_operator():

@@ -12,11 +12,8 @@ from pathmc.sampling import (
     CumulativeTable,
     RngStream,
     StreamingMoments,
-    coin,
     sample_count,
-    sample_discrete,
     sample_poisson,
-    streaming_mean,
 )
 
 
@@ -65,15 +62,14 @@ def test_sample_count_validation():
         sample_count(0.1, 0.05, math.inf)
 
 
-def test_sample_discrete_frequencies():
-    weights = [0.5, 0.1, 0.0, 0.4]
-    rng = RngStream(42)
-    n = 200_000
-    counts = Counter(sample_discrete(weights, rng) for _ in range(n))
-    assert counts[2] == 0
-    observed = [counts[i] for i in (0, 1, 3)]
-    expected = [w * n for w in (0.5, 0.1, 0.4)]
-    assert stats.chisquare(observed, expected).pvalue > 1e-3
+def _linear_search(weights, rng):
+    r = rng.random() * sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return i
+    return len(weights) - 1
 
 
 def test_cumulative_table_matches_linear_search():
@@ -82,7 +78,7 @@ def test_cumulative_table_matches_linear_search():
     a = RngStream(9, 1)
     b = RngStream(9, 1)
     for _ in range(5000):
-        assert table.draw(a) == sample_discrete(weights, b)
+        assert table.draw(a) == _linear_search(weights, b)
 
 
 def test_cumulative_table_rejects_no_mass():
@@ -90,15 +86,6 @@ def test_cumulative_table_rejects_no_mass():
         CumulativeTable([0.0, 0.0])
     with pytest.raises(InvalidParameter):
         CumulativeTable([])
-
-
-def test_coin_probability():
-    rng = RngStream(77)
-    n = 100_000
-    heads = sum(coin(0.3, rng) for _ in range(n))
-    assert abs(heads / n - 0.3) < 5 * math.sqrt(0.3 * 0.7 / n)
-    assert coin(1.0, rng)
-    assert not coin(0.0, rng)
 
 
 @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
@@ -128,9 +115,6 @@ def test_streaming_moments_match_numpy():
         acc.add(complex(v))
     assert acc.mean == pytest.approx(values.mean(), rel=1e-12)
     assert acc.std == pytest.approx(values.std(ddof=1), rel=1e-12)
-    mean, std = streaming_mean(complex(v) for v in values)
-    assert mean == pytest.approx(acc.mean, rel=1e-12)
-    assert std == pytest.approx(acc.std, rel=1e-12)
 
 
 def test_streaming_moments_small_counts():
