@@ -22,10 +22,8 @@ from . import __version__
 from .engine import (
     Circuit,
     estimate_expectation,
-    expectation_exact,
+    exact_references,
     interference_capacity,
-    interference_exact,
-    interference_state_exact,
     stochastic_mode_estimate,
 )
 from .errors import PathmcError, SchemaError
@@ -516,13 +514,11 @@ def cmd_exact(args) -> int:
             "interference": interference,
         })
         return 0
-    expectation = expectation_exact(loaded)
+    expectation, interference, interference_state = exact_references(loaded)
     _print_json({
         "expectation": [float(expectation.real), float(expectation.imag)],
-        "interference": interference_exact(loaded),
-        "interference_state": interference_state_exact(
-            loaded.unitaries, loaded.initial
-        ),
+        "interference": interference,
+        "interference_state": interference_state,
     })
     return 0
 

@@ -175,24 +175,20 @@ def estimate_trace(sigma: ChainEndpoint, op: PathOperator, epsilon: float,
                      seed, workers, "markov")
 
 
-def _conjugated_chain(circuit: Circuit) -> list:
-    ups = [u.adjoint() for u in circuit.unitaries]
-    downs = list(reversed(circuit.unitaries))
-    return ups + [circuit.measurement] + downs
-
-
 def estimate_expectation(circuit: Circuit, epsilon: float, delta: float,
                          seed: int = 0, workers: int = 1) -> EstimateReport:
     """Estimate ``Tr{U1' ... UT' M UT ... U1 sigma}`` (primes are adjoints).
 
     The chain is assembled with the product combinator and traced against
-    the circuit's initial endpoint; the reported bound is exactly
-    ``b_sigma * b_M * prod(b_t ** 2)``.
+    the circuit's initial endpoint; the reported bound is exactly the
+    product of the sampled factors' bounds, ``b_sigma * b_M * prod(b_t * b_t')``,
+    which is ``b_sigma * b_M * prod(b_t ** 2)`` at the balanced pair.
     """
-    op = ProductOp(_conjugated_chain(circuit))
+    ups = [u.adjoint() for u in circuit.unitaries]
+    op = ProductOp(ups + [circuit.measurement] + list(reversed(circuit.unitaries)))
     b = circuit.initial.bound * circuit.measurement.bound
-    for u in circuit.unitaries:
-        b *= u.bound * u.bound
+    for u, up in zip(circuit.unitaries, ups):
+        b *= u.bound * up.bound
     report = _estimate(circuit.initial, op, b, epsilon, delta, seed, workers,
                        "markov")
     return report
@@ -256,13 +252,24 @@ def expression_interference(sigma, ops) -> float:
     return float(exact_oracle(abs_sigma, abs_ops).real)
 
 
+def _densify(circuit: Circuit) -> tuple:
+    return (circuit.initial.dense(), [u.dense() for u in circuit.unitaries],
+            circuit.measurement.dense())
+
+
+def _expectation(sigma, units, meas) -> complex:
+    return exact_oracle(sigma, [u.conj().T for u in units] + [meas] + units[::-1])
+
+
+def _interference(sigma, units, meas) -> float:
+    abs_units = [entrywise_abs(u) for u in units]
+    factors = [a.T for a in abs_units] + [entrywise_abs(meas)] + abs_units[::-1]
+    return float(exact_oracle(entrywise_abs(sigma), factors).real)
+
+
 def expectation_exact(circuit: Circuit) -> complex:
     """Dense reference value of the circuit's conjugated-chain trace."""
-    units = [u.dense() for u in circuit.unitaries]
-    factors = [u.conj().T for u in units]
-    factors.append(circuit.measurement.dense())
-    factors.extend(reversed(units))
-    return exact_oracle(circuit.initial.dense(), factors)
+    return _expectation(*_densify(circuit))
 
 
 def interference_exact(circuit: Circuit) -> float:
@@ -271,12 +278,15 @@ def interference_exact(circuit: Circuit) -> float:
     Equals ``Tr{|U1|^T ... |UT|^T |M| |UT| ... |U1| |sigma|}`` because the
     entrywise magnitudes of an adjoint are the transposed magnitudes.
     """
-    abs_units = [entrywise_abs(u.dense()) for u in circuit.unitaries]
-    factors = [a.T for a in abs_units]
-    factors.append(entrywise_abs(circuit.measurement.dense()))
-    factors.extend(reversed(abs_units))
-    sigma = entrywise_abs(circuit.initial.dense())
-    return float(exact_oracle(sigma, factors).real)
+    return _interference(*_densify(circuit))
+
+
+def exact_references(circuit: Circuit) -> tuple:
+    """``(expectation_exact, interference_exact, interference_state_exact)``
+    of a circuit, densifying each component once."""
+    sigma, units, meas = _densify(circuit)
+    return (_expectation(sigma, units, meas), _interference(sigma, units, meas),
+            interference_state_exact(units, sigma))
 
 
 def interference_state_exact(unitaries, initial) -> float:
@@ -354,9 +364,7 @@ def decoherence_matrix(circuit: Circuit, cap: int = 4096):
     count = dim ** (steps + 1)
     if count > cap:
         raise HistoryCapExceeded(f"{count} histories exceed the cap of {cap}")
-    units = [u.dense() for u in circuit.unitaries]
-    sigma = circuit.initial.dense()
-    meas = circuit.measurement.dense()
+    sigma, units, meas = _densify(circuit)
 
     histories = list(itertools.product(range(dim), repeat=steps + 1))
     amps = np.ones(count, dtype=complex)
@@ -373,16 +381,12 @@ def decoherence_matrix(circuit: Circuit, cap: int = 4096):
         * sigma[first[:, None], first[None, :]]
         * meas[last[None, :], last[:, None]]
     )
-    expectation = exact_oracle(
-        sigma,
-        [u.conj().T for u in units] + [meas] + [u for u in reversed(units)],
-    )
     off = dmat - np.diag(np.diag(dmat))
     diagnostics = DecoherenceDiagnostics(
         path_sum=complex(dmat.sum()),
         abs_sum=float(np.abs(dmat).sum()),
-        expectation=expectation,
-        interference=interference_exact(circuit),
+        expectation=_expectation(sigma, units, meas),
+        interference=_interference(sigma, units, meas),
         max_offdiagonal=float(np.max(np.abs(off))) if count > 1 else 0.0,
     )
     return dmat, diagnostics

@@ -70,7 +70,10 @@ class SupportEntry(NamedTuple):
 
 
 class PathOperator:
-    """Base class: a matrix with sampleable forward/backward transitions."""
+    """Base class: a matrix with sampleable forward/backward transitions.
+
+    Every subclass provides ``adjoint()`` and ``transpose()`` with transition
+    laws certified for its own exponent pair."""
 
     rows: int
     cols: int
@@ -95,20 +98,6 @@ class PathOperator:
         for e in self.entries():
             out[e.row, e.col] += e.alpha
         return out
-
-    def adjoint(self) -> "PathOperator":
-        """Conjugate transpose. The generic wrapper swaps the two transition
-        laws, which preserves the certified bound only for the balanced
-        pair; structured operators override this with native adjoints valid
-        for any pair."""
-        return AdjointOp(self)
-
-    def transpose(self) -> "PathOperator":
-        return TransposeOp(self)
-
-    def _require_square(self, what: str) -> None:
-        if self.rows != self.cols:
-            raise ShapeMismatch(f"{what} needs a square operator, got {self.rows}x{self.cols}")
 
 
 def _require_same_pair(ops) -> NormPair:
@@ -200,19 +189,23 @@ class DenseOptimal(_TableOp):
     """
 
     def __init__(self, matrix, pair: NormPair = NormPair()):
-        super().__init__()
         if not (1.0 < pair.p < math.inf):
             raise InvalidParameter(
                 f"optimal dense transitions need p in (1, inf), got {pair.p}"
             )
         a = as_complex_matrix(matrix)
+        magnitudes = np.abs(a)
+        vectors = generalized_singular_vectors(magnitudes, pair)
+        self._build(a, magnitudes, pair, vectors.u, vectors.v)
+
+    def _build(self, a, magnitudes, pair, u, v) -> None:
+        super().__init__()
         self._a = a
-        self._abs = np.abs(a)
+        self._abs = magnitudes
         self.rows, self.cols = a.shape
         self.pair = pair
-        vectors = generalized_singular_vectors(self._abs, pair)
-        self._u = vectors.u
-        self._v = vectors.v
+        self._u = u
+        self._v = v
         self._row_w = self._abs @ self._v
         self._col_w = self._abs.T @ self._u
         # The certified bound is the exact supremum of the per-entry cost
@@ -254,6 +247,26 @@ class DenseOptimal(_TableOp):
     def _prob_q(self, m, n, alpha):
         return float(self._abs[m, n] * self._u[m] / self._col_w[n])
 
+    def _flipped(self, a) -> "DenseOptimal":
+        """The operator on ``a``, A^H or A^T, whose magnitudes are |A|^T: its
+        norming vectors at (p, q) are those of |A| at (q, p) exchanged, and
+        at p = q those are this operator's own, so no power iteration runs."""
+        if self.pair.p == self.pair.q:
+            u, v = self._v, self._u
+        else:
+            vectors = generalized_singular_vectors(
+                self._abs, NormPair(self.pair.q, self.pair.p))
+            u, v = vectors.v, vectors.u
+        out = DenseOptimal.__new__(DenseOptimal)
+        out._build(a, self._abs.T, self.pair, u, v)
+        return out
+
+    def adjoint(self):
+        return self._flipped(self._a.conj().T)
+
+    def transpose(self):
+        return self._flipped(self._a.T)
+
 
 class RowCol(_TableOp):
     """Transition laws proportional to |A| row- and column-wise.
@@ -265,32 +278,36 @@ class RowCol(_TableOp):
     """
 
     def __init__(self, matrix, pair: NormPair = NormPair()):
-        super().__init__()
-        self.pair = pair
         if isinstance(matrix, SparseEntries):
-            self.rows, self.cols = matrix.rows, matrix.cols
+            rows, cols = matrix.rows, matrix.cols
             items = [(m, n, v) for (m, n, v) in matrix.triplets if v != 0]
         else:
             a = as_complex_matrix(matrix)
-            self.rows, self.cols = a.shape
+            rows, cols = a.shape
             ms, ns = np.nonzero(a)
             items = [(int(m), int(n), complex(a[m, n])) for m, n in zip(ms, ns)]
-        self._by_row = [[] for _ in range(self.rows)]
-        self._by_col = [[] for _ in range(self.cols)]
-        row_sum = [0.0] * self.rows
-        col_sum = [0.0] * self.cols
-        for m, n, v in items:
-            self._by_row[m].append((n, v))
-            self._by_col[n].append((m, v))
-            row_sum[m] += abs(v)
-            col_sum[n] += abs(v)
         if not items:
             raise InvalidParameter("the matrix carries no weight anywhere")
+        by_row = [[] for _ in range(rows)]
+        by_col = [[] for _ in range(cols)]
+        row_sum = [0.0] * rows
+        col_sum = [0.0] * cols
+        for m, n, v in items:
+            by_row[m].append((n, v))
+            by_col[n].append((m, v))
+            row_sum[m] += abs(v)
+            col_sum[n] += abs(v)
+        self._build(by_row, by_col, row_sum, col_sum, pair)
+
+    def _build(self, by_row, by_col, row_sum, col_sum, pair) -> None:
+        super().__init__()
+        self.pair = pair
+        self.rows, self.cols = len(by_row), len(by_col)
+        self._by_row = by_row
+        self._by_col = by_col
         self._row_sum = row_sum
         self._col_sum = col_sum
-        r = max(row_sum)
-        c = max(col_sum)
-        self.bound = r ** pair.inv_p * c ** pair.inv_q
+        self.bound = max(row_sum) ** pair.inv_p * max(col_sum) ** pair.inv_q
 
     def _row_support(self, m):
         if not self._by_row[m]:
@@ -314,6 +331,22 @@ class RowCol(_TableOp):
 
     def _prob_q(self, m, n, alpha):
         return abs(alpha) / self._col_sum[n]
+
+    def _flipped(self, by_row, by_col) -> "RowCol":
+        """Rows and columns trade places and keep their laws, so the bound
+        becomes ``c**(1/p) * r**(1/q)``."""
+        out = RowCol.__new__(RowCol)
+        out._build(by_row, by_col, self._col_sum, self._row_sum, self.pair)
+        return out
+
+    def adjoint(self):
+        return self._flipped(
+            [[(m, v.conjugate()) for m, v in col] for col in self._by_col],
+            [[(n, v.conjugate()) for n, v in row] for row in self._by_row],
+        )
+
+    def transpose(self):
+        return self._flipped(self._by_col, self._by_row)
 
 
 def from_dense_optimal(matrix, pair: NormPair = NormPair()) -> DenseOptimal:
@@ -622,6 +655,37 @@ class HaarWavelet(PathOperator):
                 a = self.entry(x, y)
                 yield SupportEntry(x, y, None, complex(a), prob_p, inv_q)
 
+    def adjoint(self):
+        return _TransposedHaar(self._n, self.pair)
+
+    transpose = adjoint
+
+
+class _TransposedHaar(HaarWavelet):
+    """The transpose, and so the adjoint, of the real Haar transform: each
+    step takes the other direction's law of the transform and exchanges the
+    two ratios, which keeps the bound because the pair is (2, 2)."""
+
+    def entry(self, x: int, y: int) -> float:
+        return HaarWavelet.entry(self, y, x)
+
+    def sample_forward(self, x, rng):
+        t = HaarWavelet.sample_backward(self, x, rng)
+        return Transition(t.index, None, t.ratio_q, t.ratio_p)
+
+    def sample_backward(self, y, rng):
+        t = HaarWavelet.sample_forward(self, y, rng)
+        return Transition(t.index, None, t.ratio_q, t.ratio_p)
+
+    def entries(self):
+        for e in self.adjoint().entries():
+            yield SupportEntry(e.col, e.row, None, e.alpha, e.prob_q, e.prob_p)
+
+    def adjoint(self):
+        return HaarWavelet(self._n, self.pair)
+
+    transpose = adjoint
+
 
 def haar_wavelet(n_bits: int, pair: NormPair = NormPair()) -> HaarWavelet:
     return HaarWavelet(n_bits, pair)
@@ -751,82 +815,6 @@ class ScaledOp(PathOperator):
 
 def scale(s, op: PathOperator) -> ScaledOp:
     return ScaledOp(s, op)
-
-
-class AdjointOp(PathOperator):
-    """Generic conjugate transpose by swapping the two transition laws.
-
-    Swapping P and Q preserves the certified bound only when both exponents
-    are 2 (the cost weights the laws symmetrically there); any other pair is
-    rejected, and structured operators provide native adjoints instead.
-    """
-
-    def __init__(self, inner: PathOperator):
-        if inner.pair.p != 2.0 or inner.pair.q != 2.0:
-            raise InvalidParameter(
-                "the generic adjoint certifies its bound only for the (2, 2) pair"
-            )
-        self._inner = inner
-        self.rows, self.cols = inner.cols, inner.rows
-        self.pair = inner.pair
-        self.bound = inner.bound
-        self.structure = inner.structure
-
-    def sample_forward(self, m, rng):
-        t = self._inner.sample_backward(m, rng)
-        return Transition(t.index, t.tag,
-                          t.ratio_q.conjugate(), t.ratio_p.conjugate())
-
-    def sample_backward(self, n, rng):
-        t = self._inner.sample_forward(n, rng)
-        return Transition(t.index, t.tag,
-                          t.ratio_q.conjugate(), t.ratio_p.conjugate())
-
-    def entries(self):
-        for e in self._inner.entries():
-            yield SupportEntry(e.col, e.row, e.tag, e.alpha.conjugate(),
-                               e.prob_q, e.prob_p)
-
-    def adjoint(self):
-        return self._inner
-
-    def transpose(self):
-        return _conjugate_entries(self._inner)
-
-
-class TransposeOp(PathOperator):
-    """Generic transpose; same (2, 2) restriction as the generic adjoint."""
-
-    def __init__(self, inner: PathOperator):
-        if inner.pair.p != 2.0 or inner.pair.q != 2.0:
-            raise InvalidParameter(
-                "the generic transpose certifies its bound only for the (2, 2) pair"
-            )
-        self._inner = inner
-        self.rows, self.cols = inner.cols, inner.rows
-        self.pair = inner.pair
-        self.bound = inner.bound
-        self.structure = inner.structure
-
-    def sample_forward(self, m, rng):
-        t = self._inner.sample_backward(m, rng)
-        return Transition(t.index, t.tag, t.ratio_q, t.ratio_p)
-
-    def sample_backward(self, n, rng):
-        t = self._inner.sample_forward(n, rng)
-        return Transition(t.index, t.tag, t.ratio_q, t.ratio_p)
-
-    def entries(self):
-        for e in self._inner.entries():
-            yield SupportEntry(e.col, e.row, e.tag, e.alpha, e.prob_q, e.prob_p)
-
-    def transpose(self):
-        return self._inner
-
-
-def _conjugate_entries(inner: PathOperator) -> PathOperator:
-    """Entrywise conjugate as adjoint-of-transpose."""
-    return AdjointOp(TransposeOp(inner))
 
 
 def adjoint(op: PathOperator) -> PathOperator:
@@ -1042,11 +1030,14 @@ class ExpOp(PathOperator):
     def __init__(self, inner: PathOperator):
         if inner.rows != inner.cols:
             raise ShapeMismatch(f"exponential needs a square operator, got {inner.rows}x{inner.cols}")
+        try:
+            self.bound = math.exp(inner.bound)
+        except OverflowError:
+            raise InvalidParameter(f"exp of an operator with bound {inner.bound} overflows") from None
         self._inner = inner
         self._rate = inner.bound
         self.rows = self.cols = inner.rows
         self.pair = inner.pair
-        self.bound = math.exp(inner.bound)
 
     def sample_forward(self, m, rng):
         length = sample_poisson(self._rate, rng)

@@ -52,7 +52,10 @@ def sample_count(epsilon: float, delta: float, b: float) -> int:
         raise InvalidParameter("epsilon must be positive")
     if not (0.0 < delta < 4.0):
         raise InvalidParameter(f"delta must lie in (0, 4), got {delta}")
-    k = math.ceil(4.0 * math.log(4.0 / delta) * epsilon ** -2.0 * b * b)
+    try:
+        k = math.ceil(4.0 * math.log(4.0 / delta) * epsilon ** -2.0 * b * b)
+    except OverflowError:
+        raise InvalidParameter(f"the path count for epsilon={epsilon}, b={b} overflows") from None
     return max(1, int(k))
 
 
@@ -91,6 +94,8 @@ def sample_poisson(b: float, rng: random.Random) -> int:
     if not (b >= 0.0) or math.isinf(b):
         raise InvalidParameter(f"rate must be finite and nonnegative, got {b}")
     w = math.exp(-b)
+    if w == 0.0:
+        raise InvalidParameter(f"rate {b} is too large: exp(-rate) underflows, no draw would end")
     remaining = 1.0
     l = 0
     while True:

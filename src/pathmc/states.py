@@ -305,9 +305,6 @@ class ChainEndpoint:
             out[e.row, e.col] += e.alpha
         return out
 
-    def as_operator(self) -> "StateAsOperator":
-        return StateAsOperator(self)
-
 
 class Dyad(ChainEndpoint):
     """The rank-one endpoint |ket><bra|.
@@ -443,17 +440,18 @@ class LowRankEndpoint(ChainEndpoint):
         if not terms:
             raise InvalidParameter("low-rank endpoint needs at least one term")
         self.pair = pair
-        self._terms = []
-        for i, (s, u, v) in enumerate(terms):
-            u = np.asarray(u, dtype=complex).ravel()
-            v = np.asarray(v, dtype=complex).ravel()
-            nu = float(np.sum(np.abs(u) ** pair.p) ** (1.0 / pair.p)) if pair.p != math.inf else float(np.max(np.abs(u)))
-            nv = float(np.sum(np.abs(v) ** pair.q) ** (1.0 / pair.q)) if pair.q != math.inf else float(np.max(np.abs(v)))
+        # DenseVector refuses non-finite factors and caches their power laws
+        self._heads = [DenseVector(u) for _, u, _ in terms]
+        self._tails = [DenseVector(v) for _, _, v in terms]
+        for i, (u, v) in enumerate(zip(self._heads, self._tails)):
+            nu = u.pnorm(pair.p)
+            nv = v.pnorm(pair.q)
             if abs(nu - 1.0) > _NORM_TOL:
                 raise NotNormalized(f"term {i}: u is not unit in the p-norm ({nu})")
             if abs(nv - 1.0) > _NORM_TOL:
                 raise NotNormalized(f"term {i}: v is not unit in the q-norm ({nv})")
-            self._terms.append((complex(s), u, v))
+        self._terms = [(complex(s), u._vec, v._vec)
+                       for (s, _, _), u, v in zip(terms, self._heads, self._tails)]
         rows = {v.size for _, _, v in self._terms}
         cols = {u.size for _, u, _ in self._terms}
         if len(rows) != 1 or len(cols) != 1:
@@ -467,9 +465,6 @@ class LowRankEndpoint(ChainEndpoint):
         self.bound = total
         self._mix = CumulativeTable(weights)
         self._share = [w / total for w in weights]
-        # DenseVector refuses non-finite factors and caches their power laws
-        self._heads = [DenseVector(u) for _, u, _ in self._terms]
-        self._tails = [DenseVector(v) for _, _, v in self._terms]
 
     def head_prob(self, col: int) -> float:
         p = self.pair.p
@@ -511,6 +506,14 @@ class LowRankEndpoint(ChainEndpoint):
                 yield SupportEntry(int(m), int(n), None, complex(alpha),
                                    self.head_prob(int(n)), self.tail_prob(int(m)))
 
+    def adjoint(self):
+        """``sum_i conj(s_i) conj(u_i) conj(v_i)^T``: its head factors conj(v_i)
+        are unit in the p-norm only at the balanced pair."""
+        if self.pair.p != self.pair.q:
+            raise InvalidParameter("a low-rank adjoint is certified only at the balanced pair")
+        return LowRankEndpoint(
+            [(s.conjugate(), v.conj(), u.conj()) for s, u, v in self._terms], self.pair)
+
 
 def low_rank(terms, pair: NormPair = NormPair()) -> LowRankEndpoint:
     return LowRankEndpoint(terms, pair)
@@ -545,10 +548,10 @@ class StateAsOperator(PathOperator):
         return self._state.entries()
 
     def adjoint(self):
-        inner = getattr(self._state, "adjoint", None)
-        if inner is not None:
-            return StateAsOperator(inner())
-        return super().adjoint()
+        return StateAsOperator(self._state.adjoint())
+
+    def transpose(self):
+        raise InvalidParameter("an endpoint used as an operator has no transpose")
 
 
 def projector_family(table, x_size: int, y_size: int,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pathmc import sample_count
+from pathmc import cli, sample_count
 from pathmc.cli import load_file, main
 from pathmc.engine import (
     estimate_expectation,
@@ -309,6 +309,88 @@ def test_non_finite_product_factor_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate", write(tmp_path, doc))
     assert code == 2
     assert "non-finite" in err
+
+
+def _three_level_unitary():
+    gen = np.random.default_rng(3)
+    q, _ = np.linalg.qr(gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3)))
+    return q
+
+
+def _cmat(a):
+    return [[[z.real, z.imag] for z in row] for row in a]
+
+
+@pytest.mark.parametrize("kind", ["optimal", "rowcol", "sparse"])
+def test_dense_and_sparse_unitaries_away_from_the_balanced_pair(capsys, tmp_path, kind):
+    u = _three_level_unitary()
+    if kind == "sparse":
+        spec = {"kind": "sparse", "rows": 3, "cols": 3,
+                "triplets": [[m, n, [u[m, n].real, u[m, n].imag]]
+                             for m in range(3) for n in range(3)]}
+    else:
+        spec = {"kind": "dense", "law": kind, "matrix": _cmat(u)}
+    doc = {
+        "schema_version": 1,
+        "n_levels": 3,
+        "p": 3,
+        "state": {"kind": "vector", "amplitudes": [0.6, [0.0, 0.8], 0.0]},
+        "operators": [spec],
+        "measurement": {"kind": "diagonal", "values": [1.0, -1.0, 1.0]},
+    }
+    path = write(tmp_path, doc)
+    code, out, err = run_cli(capsys, "estimate", path, "--epsilon", "0.2",
+                             "--delta", "0.01", "--seed", "4")
+    assert code == 0, err
+    report = json.loads(out)
+    code, out, _ = run_cli(capsys, "exact", path)
+    assert code == 0
+    exact = complex(*json.loads(out)["expectation"])
+    assert abs(complex(report["estimate_re"], report["estimate_im"]) - exact) <= 0.2
+    # b prices the chain actually sampled, U' M U closed by sigma, which
+    # away from p = 2 is not the square of U's bound
+    circuit = load_file(path)
+    ends = circuit.initial.bound * circuit.measurement.bound
+    op = circuit.unitaries[0]
+    assert report["b"] == pytest.approx(ends * op.bound * op.adjoint().bound, rel=1e-12)
+    assert report["b"] != pytest.approx(ends * op.bound ** 2, rel=1e-12)
+
+
+def test_overflowing_exponentials_exit_with_typed_errors(tmp_path):
+    # exp(800) overflows when the file loads (exit 2); exp(200) loads, but
+    # its b**2 overflows the path count when the run starts (exit 3). Each
+    # runs in a subprocess with a timeout, so a hang fails instead of stalling.
+    for scale, want in ((800.0, 2), (200.0, 3)):
+        doc = {
+            "schema_version": 1,
+            "n_levels": 2,
+            "p": 2,
+            "state": {"kind": "basis", "index": 0},
+            "operators": [{"kind": "exp", "inner": {
+                "kind": "scaled", "scale": scale,
+                "inner": {"kind": "permutation", "perm": [0, 1]}}}],
+            "measurement": {"kind": "pauli", "letters": "Z"},
+        }
+        out = subprocess.run(
+            [sys.executable, "-m", "pathmc", "estimate", write(tmp_path, doc)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == want, out.stderr
+        assert "Traceback" not in out.stderr
+        assert "overflows" in out.stderr
+
+
+def test_exact_densifies_each_component_once(capsys, monkeypatch):
+    circuit = load_file(GROVER)
+    components = [circuit.initial, circuit.measurement, *circuit.unitaries]
+    calls = []
+    for c in components:
+        c.dense = lambda dense=c.dense, c=c: calls.append(c) or dense()
+    monkeypatch.setattr(cli, "load_file", lambda path: circuit)
+    code, out, _ = run_cli(capsys, "exact", GROVER)
+    assert code == 0
+    assert json.loads(out)["expectation"][0] == pytest.approx(1.0)
+    assert sorted(map(id, calls)) == sorted(map(id, components))
 
 
 def test_argparse_errors_exit_two():

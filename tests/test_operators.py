@@ -33,6 +33,7 @@ from pathmc import (
     transpose,
     walsh_hadamard,
 )
+from pathmc import operators
 from pathmc.errors import (
     DeadColumn,
     DeadRow,
@@ -43,7 +44,8 @@ from pathmc.errors import (
     ShapeMismatch,
 )
 from pathmc.linalg import dense_exp, induced_norm
-from pathmc.operators import QueryCounter
+from pathmc.operators import PathOperator, QueryCounter
+from pathmc.states import StateAsOperator
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -283,18 +285,98 @@ def test_scaled_operator():
     assert np.allclose(op.adjoint().dense(), (-2j * base.dense()).conj().T)
 
 
-def test_generic_adjoint_needs_symmetric_pair():
-    mat = np.array([[1.0, 2.0], [3.0, 4.0]])
-    op = from_rowcol(mat, NormPair(2.0))
-    assert_operator_certificate(adjoint(op), mat.conj().T)
-    assert_operator_certificate(transpose(op), mat.T)
-    assert adjoint(adjoint(op)) is op
-    assert transpose(transpose(op)) is op
-    skew = from_rowcol(mat, NormPair.from_p(3.0))
-    with pytest.raises(InvalidParameter):
-        adjoint(skew)
-    with pytest.raises(InvalidParameter):
-        transpose(skew)
+def test_every_operator_samples_its_own_adjoint():
+    classes = [c for c in vars(operators).values()
+               if isinstance(c, type) and issubclass(c, PathOperator)
+               and c not in (PathOperator, operators._TableOp)]
+    classes.append(StateAsOperator)
+    for cls in classes:
+        assert "adjoint" in vars(cls) and "transpose" in vars(cls), cls.__name__
+    # away from the balanced pair too, and both are involutions in value
+    mat = np.array([[1.0, 2.0j], [3.0, 4.0]])
+    op = from_rowcol(mat, NormPair.from_p(3.0))
+    assert np.allclose(adjoint(adjoint(op)).dense(), mat)
+    assert np.allclose(transpose(transpose(op)).dense(), mat)
+
+
+def _abs_sums(mat):
+    mags = np.abs(mat)
+    return float(mags.sum(axis=1).max()), float(mags.sum(axis=0).max())
+
+
+def test_rowcol_adjoint_and_transpose_at_every_pair():
+    mat = np.array([[1.0, 2.0j, 0.0], [-3.0, 0.0, 0.5 - 0.5j]])
+    # triplets out of row order: the flipped operator keeps each row's and
+    # column's input order
+    sparse = SparseEntries(3, 2, [(2, 1, 1j), (0, 1, -2.0), (1, 0, 0.5), (0, 0, 1.0 + 1j)])
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        pair = NormPair.from_p(p)
+        for op in (from_rowcol(mat, pair), from_sparse(sparse, pair)):
+            ref = op.dense()
+            r, c = _abs_sums(ref)
+            adj, tr = op.adjoint(), op.transpose()
+            assert (adj.rows, adj.cols) == (tr.rows, tr.cols) == (op.cols, op.rows)
+            for flipped in (adj, tr):
+                assert flipped.pair == pair
+                assert flipped.bound == pytest.approx(c ** pair.inv_p * r ** pair.inv_q)
+            assert_operator_certificate(adj, ref.conj().T, draws=1000)
+            assert_operator_certificate(tr, ref.T, draws=1000)
+            assert np.allclose(adj.adjoint().dense(), ref)
+            assert np.allclose(tr.transpose().dense(), ref)
+
+
+def test_sparse_adjoint_stays_sparse():
+    # a dense 65536 x 65536 matrix would not fit in memory
+    dim = 1 << 16
+    op = from_sparse(SparseEntries(dim, dim, [(0, dim - 1, 2.0), (dim - 1, 0, -1j)]),
+                     NormPair.from_p(3.0))
+    started = time.perf_counter()
+    adj = op.adjoint()
+    assert time.perf_counter() - started < 5.0
+    t = adj.sample_forward(0, RngStream(0))
+    assert (t.index, t.ratio_p) == (dim - 1, 1j)
+
+
+def test_dense_optimal_adjoint_and_transpose(monkeypatch):
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    mat[0, 2] = 0.0
+    for p in (1.5, 2.0, 3.0):
+        pair = NormPair.from_p(p)
+        op = from_dense_optimal(mat, pair)
+        adj, tr = op.adjoint(), op.transpose()
+        for flipped in (adj, tr):
+            assert flipped.pair == pair
+            # the tight bound of the flipped magnitudes, not the operator's own
+            assert flipped.bound == pytest.approx(
+                induced_norm(np.abs(mat).T, pair.q), rel=1e-6)
+        assert_operator_certificate(adj, mat.conj().T, draws=1000)
+        assert_operator_certificate(tr, mat.T, draws=1000)
+        assert np.allclose(adj.adjoint().dense(), mat)
+    # at the balanced pair the flipped operator reuses the norming vectors:
+    # no power iteration runs and the bound is the operator's own
+    op = from_dense_optimal(mat)
+    calls = []
+    monkeypatch.setattr(operators, "generalized_singular_vectors",
+                        lambda *a: calls.append(a))
+    assert op.adjoint().bound == op.transpose().bound == op.bound
+    assert calls == []
+
+
+def test_haar_adjoint_is_its_transpose():
+    for n in (1, 3):
+        op = haar_wavelet(n)
+        ref = op.dense()
+        for flipped in (op.adjoint(), op.transpose()):
+            assert flipped.bound == op.bound
+            assert flipped.structure == op.structure
+            assert_operator_certificate(flipped, ref.T, draws=1000)
+            cells = [(x, y) for x in range(op.rows) for y in range(op.cols)]
+            assert [flipped.entry(y, x) for x, y in cells] == [op.entry(x, y) for x, y in cells]
+            back = flipped.adjoint()
+            assert type(back) is type(op)
+            assert np.allclose(back.dense(), ref)
+            assert np.allclose(flipped.transpose().dense(), ref)
 
 
 def test_sum_default_weights():

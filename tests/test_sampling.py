@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -58,6 +60,11 @@ def test_sample_count_validation():
         sample_count(0.1, 0.0, 1.0)
     with pytest.raises(InvalidParameter):
         sample_count(0.1, 4.0, 1.0)
+    # finite inputs whose path count overflows a float
+    with pytest.raises(InvalidParameter):
+        sample_count(0.05, 0.05, 1e200)
+    with pytest.raises(InvalidParameter):
+        sample_count(1e-200, 0.05, 1.0)
     with pytest.raises(InvalidParameter):
         sample_count(0.1, 0.05, math.inf)
 
@@ -98,6 +105,25 @@ def test_sample_poisson_distribution(rate):
     reference = stats.poisson.pmf(np.arange(top + 1), rate)
     tv = 0.5 * float(np.abs(empirical - reference).sum())
     assert tv <= 0.005
+
+
+def test_sample_poisson_refuses_an_underflowing_rate():
+    # exp(-760) is 0.0, so sequential coins would never stop; run in a
+    # subprocess so a regression fails on the timeout instead of hanging
+    code = (
+        "from pathmc import RngStream\n"
+        "from pathmc.errors import InvalidParameter\n"
+        "from pathmc.sampling import sample_poisson\n"
+        "rng = RngStream(0)\n"
+        "assert abs(sample_poisson(700.0, rng) - 700) < 200\n"
+        "try:\n"
+        "    sample_poisson(760.0, rng)\n"
+        "except InvalidParameter:\n"
+        "    print('refused')\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert out.stdout.strip() == "refused", out.stderr
 
 
 def test_sample_poisson_degenerate_rate():

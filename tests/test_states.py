@@ -202,6 +202,32 @@ def test_low_rank_endpoint():
     assert_endpoint_certificate(sig, ref)
 
 
+def test_low_rank_adjoint():
+    u1 = np.array([1.0, 1j]) / math.sqrt(2.0)
+    v1 = np.array([0.6, 0.0, -0.8j])
+    u2 = np.array([0.0, 1.0])
+    v2 = np.array([1j, 0.0, 0.0])
+    sig = low_rank([(0.7 - 0.1j, u1, v1), (-0.25j, u2, v2)])
+    ref = (0.7 - 0.1j) * np.outer(v1, u1) - 0.25j * np.outer(v2, u2)
+    adj = sig.adjoint()
+    assert (adj.rows, adj.cols) == (2, 3)
+    assert adj.bound == pytest.approx(sig.bound)
+    assert_endpoint_certificate(adj, ref.conj().T)
+    assert np.allclose(StateAsOperator(sig).adjoint().dense(), ref.conj().T)
+    # away from the balanced pair the conjugated factors are unit in the
+    # wrong norms, so the adjoint is refused with a typed error
+    skew = NormPair.from_p(3.0)
+    u = np.array([1.0, 2.0]) / np.sum(np.array([1.0, 2.0]) ** 3.0) ** (1 / 3.0)
+    v = np.array([1.0, 1.0]) / 2.0 ** (1 / skew.q)
+    skewed = low_rank([(1.0, u, v)], skew)
+    with pytest.raises(InvalidParameter):
+        skewed.adjoint()
+    with pytest.raises(InvalidParameter):
+        StateAsOperator(skewed).adjoint()
+    with pytest.raises(InvalidParameter):
+        StateAsOperator(sig).transpose()
+
+
 def test_low_rank_matches_dyad():
     ket = np.array([0.8, -0.6j])
     bra = np.array([1.0, 1j]) / math.sqrt(2.0)
