@@ -5,66 +5,23 @@ states and density-like endpoints expose unconditional endpoint laws.
 Certified sampling-cost bounds multiply along any composition, which turns
 additive-accuracy trace estimation into a fixed, known number of cheap
 path draws.
+
+The package namespace holds the documented library API; every other name
+is importable from its module (``pathmc.operators``, ``pathmc.states``,
+``pathmc.engine``, ``pathmc.sampling``, ``pathmc.linalg``,
+``pathmc.errors``).
 """
 
 from .errors import (
-    DeadColumn,
-    DeadRow,
-    DimensionMismatch,
-    HistoryCapExceeded,
-    IndexMapInconsistent,
     InvalidParameter,
-    InvalidWeights,
-    IterationLimit,
-    NegativeMassOverflow,
     NonUnitPhase,
-    NormViolation,
-    NotNormalized,
     OracleCapExceeded,
     PathmcError,
-    SchemaError,
     ShapeMismatch,
-    ZeroVector,
 )
-from .linalg import (
-    ORACLE_CAP,
-    NormPair,
-    PositiveVectorPair,
-    SparseEntries,
-    block_decompose,
-    conjugate_exponent,
-    dense_exp,
-    exact_oracle,
-    entrywise_abs,
-    generalized_singular_vectors,
-    induced_norm,
-)
-from .sampling import (
-    CumulativeTable,
-    EstimateReport,
-    RngStream,
-    StreamingMoments,
-    sample_count,
-    sample_poisson,
-)
+from .linalg import NormPair, SparseEntries
+from .sampling import RngStream, sample_count
 from .operators import (
-    BlockDiagonal,
-    DenseOptimal,
-    ExpOp,
-    FlatOperator,
-    HaarWavelet,
-    PathOperator,
-    PauliString,
-    PhasedPermutation,
-    ProductOp,
-    QueryCounter,
-    RowCol,
-    ScaledOp,
-    ShiftOracle,
-    SumOp,
-    SupportEntry,
-    Transition,
-    adjoint,
     block_diagonal,
     controlled,
     diagonal_unitary,
@@ -83,19 +40,9 @@ from .operators import (
     shift_oracle,
     sum_ops,
     tensor_embed,
-    transpose,
     walsh_hadamard,
 )
 from .states import (
-    BasisState,
-    ChainEndpoint,
-    DenseVector,
-    DensityEndpoint,
-    Dyad,
-    LowRankEndpoint,
-    PhaseState,
-    ProductState,
-    SampleableState,
     StateAsOperator,
     basis_state,
     dense_vector,
@@ -108,121 +55,53 @@ from .states import (
     uniform_state,
 )
 from .engine import (
-    AmplitudeReport,
     Circuit,
-    DecoherenceDiagnostics,
-    OptimalPathReference,
-    PathLedger,
-    StochasticReport,
     decoherence_matrix,
-    draw_path,
     estimate_amplitude,
     estimate_expectation,
     estimate_trace,
     expectation_exact,
     expression_interference,
     interference_capacity,
-    interference_exact,
-    interference_state_exact,
-    optimal_path_distribution,
     stochastic_mode_estimate,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeReport",
-    "BasisState",
-    "BlockDiagonal",
-    "ChainEndpoint",
     "Circuit",
-    "CumulativeTable",
-    "DeadColumn",
-    "DeadRow",
-    "DecoherenceDiagnostics",
-    "DenseOptimal",
-    "DenseVector",
-    "DensityEndpoint",
-    "DimensionMismatch",
-    "Dyad",
-    "EstimateReport",
-    "ExpOp",
-    "FlatOperator",
-    "HaarWavelet",
-    "HistoryCapExceeded",
-    "IndexMapInconsistent",
     "InvalidParameter",
-    "InvalidWeights",
-    "IterationLimit",
-    "LowRankEndpoint",
-    "NegativeMassOverflow",
     "NonUnitPhase",
     "NormPair",
-    "NormViolation",
-    "NotNormalized",
-    "ORACLE_CAP",
-    "OptimalPathReference",
     "OracleCapExceeded",
-    "PathLedger",
-    "PathOperator",
     "PathmcError",
-    "PauliString",
-    "PhaseState",
-    "PhasedPermutation",
-    "PositiveVectorPair",
-    "ProductOp",
-    "ProductState",
-    "QueryCounter",
     "RngStream",
-    "RowCol",
-    "SampleableState",
-    "ScaledOp",
-    "SchemaError",
     "ShapeMismatch",
-    "ShiftOracle",
     "SparseEntries",
     "StateAsOperator",
-    "StochasticReport",
-    "StreamingMoments",
-    "SumOp",
-    "SupportEntry",
-    "Transition",
-    "ZeroVector",
-    "adjoint",
     "basis_state",
-    "block_decompose",
     "block_diagonal",
-    "conjugate_exponent",
     "controlled",
     "decoherence_matrix",
-    "dense_exp",
     "dense_vector",
     "density",
     "diagonal_unitary",
-    "draw_path",
     "dyad",
-    "entrywise_abs",
     "estimate_amplitude",
     "estimate_expectation",
     "estimate_trace",
-    "exact_oracle",
-    "expectation_exact",
     "exp_op",
+    "expectation_exact",
     "expression_interference",
     "fourier_transform",
     "from_dense_optimal",
     "from_rowcol",
     "from_sparse",
-    "generalized_singular_vectors",
     "grover_reflection",
     "haar_wavelet",
     "identity_op",
-    "induced_norm",
     "interference_capacity",
-    "interference_exact",
-    "interference_state_exact",
     "low_rank",
-    "optimal_path_distribution",
     "pauli_string",
     "permutation",
     "phase_state",
@@ -230,13 +109,11 @@ __all__ = [
     "product_state",
     "projector_family",
     "sample_count",
-    "sample_poisson",
     "scale",
     "shift_oracle",
     "stochastic_mode_estimate",
     "sum_ops",
     "tensor_embed",
-    "transpose",
     "uniform_state",
     "walsh_hadamard",
 ]

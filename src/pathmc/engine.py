@@ -7,7 +7,8 @@ backward (tail index, then backward laws in reverse), the direction chosen
 by a coin with probability 1/p for forward. The path's two ratio products
 combine into a single value whose mean over paths is the trace and whose
 magnitude never exceeds the product of the certified bounds, which fixes
-the number of samples up front.
+the number of samples up front; a run that draws a larger value stops with
+``NormViolation``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     HistoryCapExceeded,
     InvalidParameter,
     NegativeMassOverflow,
+    NormViolation,
     OracleCapExceeded,
 )
 from .linalg import (
@@ -103,20 +105,20 @@ def draw_path(sigma: ChainEndpoint, op: PathOperator, pair: NormPair,
     exact zeros.
     """
     if rng.random() < pair.inv_p:
-        head, tag = sigma.sample_head(rng)
+        head = sigma.sample_head(rng)
         try:
             t = op.sample_forward(head, rng)
         except (DeadRow, DeadColumn):
             return PathLedger("forward", head, -1, 0j, 0j)
-        sp, sq = sigma.ratios(t.index, head, tag)
+        sp, sq = sigma.ratios(t.index, head)
         return PathLedger("forward", head, t.index,
                           t.ratio_p * sp, t.ratio_q * sq)
-    tail, tag = sigma.sample_tail(rng)
+    tail = sigma.sample_tail(rng)
     try:
         t = op.sample_backward(tail, rng)
     except (DeadRow, DeadColumn):
         return PathLedger("backward", -1, tail, 0j, 0j)
-    sp, sq = sigma.ratios(tail, t.index, tag)
+    sp, sq = sigma.ratios(tail, t.index)
     return PathLedger("backward", t.index, tail,
                       t.ratio_p * sp, t.ratio_q * sq)
 
@@ -139,6 +141,9 @@ def _estimate(sigma: ChainEndpoint, op: PathOperator, b: float,
     _check_trace_shapes(sigma, op)
     pair = sigma.pair
     k = sample_count(epsilon, delta, b)
+    # a value beyond b means some bound understates its operator, and the
+    # (epsilon, delta) promise no longer holds
+    limit = b * (1.0 + 1e-9)
     started = time.perf_counter()
     base, extra = divmod(k, workers)
     merged = StreamingMoments()
@@ -149,7 +154,11 @@ def _estimate(sigma: ChainEndpoint, op: PathOperator, b: float,
         rng = RngStream(seed, w)
         chunk = StreamingMoments()
         for _ in range(count):
-            chunk.add(draw_path(sigma, op, pair, rng).value(pair))
+            value = draw_path(sigma, op, pair, rng).value(pair)
+            if abs(value) > limit:
+                raise NormViolation(
+                    f"a path value of magnitude {abs(value)} exceeds the certified bound {b}")
+            chunk.add(value)
         merged.merge(chunk)
     return EstimateReport(
         estimate=merged.mean,

@@ -111,34 +111,76 @@ def _require_same_pair(ops) -> NormPair:
 # dense constructions
 
 
-class _TableOp(PathOperator):
-    """Shared machinery for operators stored as explicit per-row/per-column
-    transition tables with singleton branches."""
+class _Group(NamedTuple):
+    """Nonzero entries grouped by line (row or column), CSR-style: line k
+    holds entries ``ptr[k]:ptr[k + 1]``, each with the index on the other
+    axis, its value and its magnitude, in input order within the line."""
 
-    def __init__(self):
+    ptr: np.ndarray
+    other: np.ndarray
+    value: np.ndarray
+    magnitude: np.ndarray
+
+
+def _group(lines, others, values, magnitudes, count: int) -> _Group:
+    order = np.argsort(lines, kind="stable")
+    ptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lines, minlength=count), out=ptr[1:])
+    return _Group(ptr, others[order], values[order], magnitudes[order])
+
+
+class _TableOp(PathOperator):
+    """Singleton-branch laws of an explicitly stored matrix, weighted by
+    positive vectors u (rows) and v (columns).
+
+    Forward probabilities are ``|A[m, n]| v[n] / w_row[m]`` and backward ones
+    ``|A[m, n]| u[m] / w_col[n]`` with ``w_row = |A| v`` and
+    ``w_col = |A|^T u``, so the ratios are ``phase * w_row[m] / v[n]`` and
+    ``phase * w_col[n] / u[m]``. The nonzero entries are held grouped by row
+    and by column, O(nnz); a row's or column's draw table is built the first
+    time a path reaches it. Rows and columns without entries are dead.
+    Subclasses choose the weights and certify the bound.
+    """
+
+    def _store(self, shape, ms, ns, values, magnitudes, pair: NormPair) -> None:
+        self.rows, self.cols = shape
+        self.pair = pair
+        self._by_row = _group(ms, ns, values, magnitudes, self.rows)
+        self._by_col = _group(ns, ms, values, magnitudes, self.cols)
         self._row_tables: dict = {}
         self._col_tables: dict = {}
 
-    # subclasses provide:
-    #   _row_support(m)  -> (cols, alphas, probs_p) or None for a dead row
-    #   _col_support(n)  -> (rows, alphas, probs_q) or None
-    #   _ratio_pair(m, n, alpha) -> (ratio_p, ratio_q)
+    def _certify(self) -> float:
+        raise NotImplementedError
+
+    def _table(self, line: int, forward: bool):
+        """Draw table, other-axis indices and ratio pairs of one row
+        (``forward``) or column, or False for a dead one."""
+        if forward:
+            group, w_line, norm_other = self._by_row, self._w_row, self._v
+            w_other, norm_line = self._w_col, self._u
+        else:
+            group, w_line, norm_other = self._by_col, self._w_col, self._u
+            w_other, norm_line = self._w_row, self._v
+        k0, k1 = group.ptr[line], group.ptr[line + 1]
+        if k0 == k1:
+            return False
+        others = group.other[k0:k1]
+        probs = group.magnitude[k0:k1] * norm_other[others] / w_line[line]
+        own = (w_line[line] / norm_other[others]).tolist()
+        cross = (w_other[others] / norm_line[line]).tolist()
+        phases = [a / abs(a) for a in group.value[k0:k1].tolist()]
+        pairs = zip(own, cross) if forward else zip(cross, own)
+        ratios = [(ph * rp, ph * rq) for ph, (rp, rq) in zip(phases, pairs)]
+        return CumulativeTable(probs.tolist()), others.tolist(), ratios
 
     def sample_forward(self, m: int, rng) -> Transition:
         if not 0 <= m < self.rows:
             raise InvalidParameter(f"row {m} outside 0..{self.rows - 1}")
         hit = self._row_tables.get(m)
         if hit is None:
-            support = self._row_support(m)
-            if support is None:
-                self._row_tables[m] = False
-                raise DeadRow(f"row {m} carries no weight")
-            cols, alphas, probs = support
-            table = CumulativeTable(probs)
-            ratios = [self._ratio_pair(m, n, a) for n, a in zip(cols, alphas)]
-            hit = (table, cols, ratios)
-            self._row_tables[m] = hit
-        elif hit is False:
+            hit = self._row_tables[m] = self._table(m, True)
+        if hit is False:
             raise DeadRow(f"row {m} carries no weight")
         table, cols, ratios = hit
         j = table.draw(rng)
@@ -150,42 +192,48 @@ class _TableOp(PathOperator):
             raise InvalidParameter(f"column {n} outside 0..{self.cols - 1}")
         hit = self._col_tables.get(n)
         if hit is None:
-            support = self._col_support(n)
-            if support is None:
-                self._col_tables[n] = False
-                raise DeadColumn(f"column {n} carries no weight")
-            rows, alphas, probs = support
-            table = CumulativeTable(probs)
-            ratios = [self._ratio_pair(m, n, a) for m, a in zip(rows, alphas)]
-            hit = (table, rows, ratios)
-            self._col_tables[n] = hit
-        elif hit is False:
+            hit = self._col_tables[n] = self._table(n, False)
+        if hit is False:
             raise DeadColumn(f"column {n} carries no weight")
         table, rows, ratios = hit
         j = table.draw(rng)
         rp, rq = ratios[j]
         return Transition(rows[j], None, rp, rq)
 
-    def entries(self) -> Iterator[SupportEntry]:
-        for m in range(self.rows):
-            support = self._row_support(m)
-            if support is None:
-                continue
-            cols, alphas, probs_p = support
-            for n, a, pp in zip(cols, alphas, probs_p):
-                yield SupportEntry(m, n, None, a, pp, self._prob_q(m, n, a))
+    def _entry_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.rows), np.diff(self._by_row.ptr))
 
-    def _prob_q(self, m: int, n: int, alpha: complex) -> float:
-        raise NotImplementedError
+    def entries(self) -> Iterator[SupportEntry]:
+        g = self._by_row
+        ms = self._entry_rows()
+        probs_p = g.magnitude * self._v[g.other] / self._w_row[ms]
+        probs_q = g.magnitude * self._u[ms] / self._w_col[g.other]
+        for m, n, a, pp, pq in zip(ms.tolist(), g.other.tolist(), g.value.tolist(),
+                                   probs_p.tolist(), probs_q.tolist()):
+            yield SupportEntry(m, n, None, a, pp, pq)
+
+    def _flipped(self, conjugate: bool) -> "_TableOp":
+        """The transpose, or with ``conjugate`` the adjoint: rows and columns
+        trade their groups and their weights, and the bound is certified
+        again for the exchanged weights."""
+        out = object.__new__(type(self))
+        out.rows, out.cols, out.pair = self.cols, self.rows, self.pair
+        out._by_row, out._by_col = self._by_col, self._by_row
+        if conjugate:
+            out._by_row = out._by_row._replace(value=out._by_row.value.conj())
+            out._by_col = out._by_col._replace(value=out._by_col.value.conj())
+        out._u, out._v = self._v, self._u
+        out._w_row, out._w_col = self._w_col, self._w_row
+        out._row_tables, out._col_tables = {}, {}
+        out.bound = out._certify()
+        return out
 
 
 class DenseOptimal(_TableOp):
-    """Transition laws built from the generalized singular vectors of |A|.
+    """Transition laws weighted by the generalized singular vectors of |A|.
 
-    Forward probabilities are ``|A[m, n]| v[n] / (|A| v)[m]`` and backward
-    ones ``|A[m, n]| u[m] / (|A|^T u)[n]``; at the fixed point the certified
-    bound equals the induced q -> q norm of |A|, which no decomposition with
-    singleton branches can beat.
+    At the fixed point the certified bound equals the induced q -> q norm of
+    |A|, which no decomposition with singleton branches can beat.
     """
 
     def __init__(self, matrix, pair: NormPair = NormPair()):
@@ -195,81 +243,52 @@ class DenseOptimal(_TableOp):
             )
         a = as_complex_matrix(matrix)
         magnitudes = np.abs(a)
+        ms, ns = np.nonzero(magnitudes)
+        self._store(a.shape, ms, ns, a[ms, ns], magnitudes[ms, ns], pair)
         vectors = generalized_singular_vectors(magnitudes, pair)
-        self._build(a, magnitudes, pair, vectors.u, vectors.v)
+        self._weigh(magnitudes, vectors.u, vectors.v)
 
-    def _build(self, a, magnitudes, pair, u, v) -> None:
-        super().__init__()
-        self._a = a
-        self._abs = magnitudes
-        self.rows, self.cols = a.shape
-        self.pair = pair
-        self._u = u
-        self._v = v
-        self._row_w = self._abs @ self._v
-        self._col_w = self._abs.T @ self._u
-        # The certified bound is the exact supremum of the per-entry cost
-        # ratio, which any valid decomposition dominates the induced norm
-        # with; at the fixed point it collapses to the norm estimate, so
-        # taking the supremum only absorbs the iteration residual.
-        ms, ns = np.nonzero(self._abs)
-        if ms.size:
-            ratios = (self._row_w[ms] / self._v[ns]) ** pair.inv_p * (
-                self._col_w[ns] / self._u[ms]
-            ) ** pair.inv_q
-            self.bound = float(ratios.max())
-        else:
-            self.bound = 0.0
+    def _weigh(self, magnitudes, u, v) -> None:
+        self._u, self._v = u, v
+        self._w_row = magnitudes @ v
+        self._w_col = magnitudes.T @ u
+        self.bound = self._certify()
 
-    def _row_support(self, m):
-        cols = np.flatnonzero(self._abs[m])
-        if cols.size == 0:
-            return None
-        alphas = [complex(self._a[m, n]) for n in cols]
-        w = self._abs[m, cols] * self._v[cols] / self._row_w[m]
-        return [int(n) for n in cols], alphas, [float(x) for x in w]
+    def _certify(self) -> float:
+        # The exact supremum of the per-entry cost ratio, which any valid
+        # decomposition dominates the induced norm with; at the fixed point
+        # it collapses to the norm estimate, so taking the supremum only
+        # absorbs the iteration residual.
+        ms, ns = self._entry_rows(), self._by_row.other
+        if not ns.size:
+            return 0.0
+        ratios = (self._w_row[ms] / self._v[ns]) ** self.pair.inv_p * (
+            self._w_col[ns] / self._u[ms]) ** self.pair.inv_q
+        return float(ratios.max())
 
-    def _col_support(self, n):
-        rows = np.flatnonzero(self._abs[:, n])
-        if rows.size == 0:
-            return None
-        alphas = [complex(self._a[m, n]) for m in rows]
-        w = self._abs[rows, n] * self._u[rows] / self._col_w[n]
-        return [int(m) for m in rows], alphas, [float(x) for x in w]
-
-    def _ratio_pair(self, m, n, alpha):
-        phase = alpha / abs(alpha)
-        return (
-            phase * float(self._row_w[m] / self._v[n]),
-            phase * float(self._col_w[n] / self._u[m]),
-        )
-
-    def _prob_q(self, m, n, alpha):
-        return float(self._abs[m, n] * self._u[m] / self._col_w[n])
-
-    def _flipped(self, a) -> "DenseOptimal":
-        """The operator on ``a``, A^H or A^T, whose magnitudes are |A|^T: its
-        norming vectors at (p, q) are those of |A| at (q, p) exchanged, and
-        at p = q those are this operator's own, so no power iteration runs."""
-        if self.pair.p == self.pair.q:
-            u, v = self._v, self._u
-        else:
+    def _flipped_optimal(self, conjugate: bool) -> "DenseOptimal":
+        """The flipped magnitudes are |A|^T: at p = q this operator's own
+        weights, exchanged, stay optimal; elsewhere the power iteration runs
+        on |A| at the pair (q, p)."""
+        out = self._flipped(conjugate)
+        if self.pair.p != self.pair.q:
+            magnitudes = np.zeros((self.rows, self.cols))
+            magnitudes[self._entry_rows(), self._by_row.other] = self._by_row.magnitude
             vectors = generalized_singular_vectors(
-                self._abs, NormPair(self.pair.q, self.pair.p))
-            u, v = vectors.v, vectors.u
-        out = DenseOptimal.__new__(DenseOptimal)
-        out._build(a, self._abs.T, self.pair, u, v)
+                magnitudes, NormPair(self.pair.q, self.pair.p))
+            out._weigh(magnitudes.T, vectors.v, vectors.u)
         return out
 
     def adjoint(self):
-        return self._flipped(self._a.conj().T)
+        return self._flipped_optimal(True)
 
     def transpose(self):
-        return self._flipped(self._a.T)
+        return self._flipped_optimal(False)
 
 
 class RowCol(_TableOp):
-    """Transition laws proportional to |A| row- and column-wise.
+    """Transition laws proportional to |A| row- and column-wise: unit
+    weights, so ``w_row`` and ``w_col`` are the absolute row and column sums.
 
     The certified bound is ``r**(1/p) * c**(1/q)`` where r and c are the
     largest absolute row and column sums. Rows or columns with no weight are
@@ -279,74 +298,36 @@ class RowCol(_TableOp):
 
     def __init__(self, matrix, pair: NormPair = NormPair()):
         if isinstance(matrix, SparseEntries):
-            rows, cols = matrix.rows, matrix.cols
+            shape = (matrix.rows, matrix.cols)
             items = [(m, n, v) for (m, n, v) in matrix.triplets if v != 0]
+            ms = np.array([m for m, _, _ in items], dtype=np.int64)
+            ns = np.array([n for _, n, _ in items], dtype=np.int64)
+            values = np.array([v for _, _, v in items], dtype=complex)
         else:
             a = as_complex_matrix(matrix)
-            rows, cols = a.shape
+            shape = a.shape
             ms, ns = np.nonzero(a)
-            items = [(int(m), int(n), complex(a[m, n])) for m, n in zip(ms, ns)]
-        if not items:
+            values = a[ms, ns]
+        if not values.size:
             raise InvalidParameter("the matrix carries no weight anywhere")
-        by_row = [[] for _ in range(rows)]
-        by_col = [[] for _ in range(cols)]
-        row_sum = [0.0] * rows
-        col_sum = [0.0] * cols
-        for m, n, v in items:
-            by_row[m].append((n, v))
-            by_col[n].append((m, v))
-            row_sum[m] += abs(v)
-            col_sum[n] += abs(v)
-        self._build(by_row, by_col, row_sum, col_sum, pair)
+        # Python's abs, not numpy's, which differs in the last bit on about a
+        # third of complex entries; bincount sums in input order
+        magnitudes = np.array([abs(v) for v in values.tolist()])
+        self._store(shape, ms, ns, values, magnitudes, pair)
+        self._u, self._v = np.ones(self.rows), np.ones(self.cols)
+        self._w_row = np.bincount(ms, magnitudes, minlength=self.rows)
+        self._w_col = np.bincount(ns, magnitudes, minlength=self.cols)
+        self.bound = self._certify()
 
-    def _build(self, by_row, by_col, row_sum, col_sum, pair) -> None:
-        super().__init__()
-        self.pair = pair
-        self.rows, self.cols = len(by_row), len(by_col)
-        self._by_row = by_row
-        self._by_col = by_col
-        self._row_sum = row_sum
-        self._col_sum = col_sum
-        self.bound = max(row_sum) ** pair.inv_p * max(col_sum) ** pair.inv_q
-
-    def _row_support(self, m):
-        if not self._by_row[m]:
-            return None
-        cols = [n for n, _ in self._by_row[m]]
-        alphas = [v for _, v in self._by_row[m]]
-        s = self._row_sum[m]
-        return cols, alphas, [abs(v) / s for v in alphas]
-
-    def _col_support(self, n):
-        if not self._by_col[n]:
-            return None
-        rows = [m for m, _ in self._by_col[n]]
-        alphas = [v for _, v in self._by_col[n]]
-        s = self._col_sum[n]
-        return rows, alphas, [abs(v) / s for v in alphas]
-
-    def _ratio_pair(self, m, n, alpha):
-        phase = alpha / abs(alpha)
-        return phase * self._row_sum[m], phase * self._col_sum[n]
-
-    def _prob_q(self, m, n, alpha):
-        return abs(alpha) / self._col_sum[n]
-
-    def _flipped(self, by_row, by_col) -> "RowCol":
-        """Rows and columns trade places and keep their laws, so the bound
-        becomes ``c**(1/p) * r**(1/q)``."""
-        out = RowCol.__new__(RowCol)
-        out._build(by_row, by_col, self._col_sum, self._row_sum, self.pair)
-        return out
+    def _certify(self) -> float:
+        return (float(self._w_row.max()) ** self.pair.inv_p
+                * float(self._w_col.max()) ** self.pair.inv_q)
 
     def adjoint(self):
-        return self._flipped(
-            [[(m, v.conjugate()) for m, v in col] for col in self._by_col],
-            [[(n, v.conjugate()) for n, v in row] for row in self._by_row],
-        )
+        return self._flipped(True)
 
     def transpose(self):
-        return self._flipped(self._by_col, self._by_row)
+        return self._flipped(False)
 
 
 def from_dense_optimal(matrix, pair: NormPair = NormPair()) -> DenseOptimal:
@@ -947,6 +928,37 @@ def _chain_entries(row_maps):
             yield row, col, tags, a, pp, qq
 
 
+def _walk_forward(factors, m: int, rng, start: complex) -> Transition:
+    """Walk a chain of factors forward from row m, both ratios starting at
+    ``start``; the tag records each reached index with the factor's tag."""
+    cur = m
+    rp = rq = start
+    pairs = []
+    for f in factors:
+        t = f.sample_forward(cur, rng)
+        rp *= t.ratio_p
+        rq *= t.ratio_q
+        cur = t.index
+        pairs.append((cur, t.tag))
+    return Transition(cur, tuple(pairs), rp, rq)
+
+
+def _walk_backward(factors, n: int, rng, start: complex) -> Transition:
+    """Walk a chain of factors backward from column n; the tag matches the
+    forward walk's."""
+    cur = n
+    rp = rq = start
+    pairs = []
+    for f in reversed(factors):
+        t = f.sample_backward(cur, rng)
+        rp *= t.ratio_p
+        rq *= t.ratio_q
+        pairs.append((cur, t.tag))
+        cur = t.index
+    pairs.reverse()
+    return Transition(cur, tuple(pairs), rp, rq)
+
+
 class ProductOp(PathOperator):
     """The matrix product of a chain of factors, left to right.
 
@@ -973,31 +985,10 @@ class ProductOp(PathOperator):
         self.bound = math.prod(f.bound for f in factors)
 
     def sample_forward(self, m, rng):
-        cur = m
-        rp = 1.0 + 0j
-        rq = 1.0 + 0j
-        pairs = []
-        for f in self.factors:
-            t = f.sample_forward(cur, rng)
-            rp *= t.ratio_p
-            rq *= t.ratio_q
-            cur = t.index
-            pairs.append((cur, t.tag))
-        return Transition(cur, tuple(pairs), rp, rq)
+        return _walk_forward(self.factors, m, rng, 1.0 + 0j)
 
     def sample_backward(self, n, rng):
-        cur = n
-        rp = 1.0 + 0j
-        rq = 1.0 + 0j
-        pairs = []
-        for f in reversed(self.factors):
-            t = f.sample_backward(cur, rng)
-            rp *= t.ratio_p
-            rq *= t.ratio_q
-            pairs.append((cur, t.tag))
-            cur = t.index
-        pairs.reverse()
-        return Transition(cur, tuple(pairs), rp, rq)
+        return _walk_backward(self.factors, n, rng, 1.0 + 0j)
 
     def entries(self):
         row_maps = [_group_by_row(f) for f in self.factors]
@@ -1020,11 +1011,11 @@ class ExpOp(PathOperator):
 
     The series length is drawn from a Poisson distribution with mean equal
     to the inner bound (by sequential conditional coins, so no truncation is
-    applied anywhere in sampling); a draw of l chains l inner transitions.
-    The certified bound is exp(inner bound). Support enumeration, used only
-    by small-dimension audits, cuts the series where the remaining weight
-    drops below 1e-18; the dense matrix is the exponential of the inner
-    dense matrix.
+    applied anywhere in sampling); a draw of l chains l inner transitions,
+    walked as a product of l factors. The certified bound is exp(inner
+    bound). Support enumeration, used only by small-dimension audits, cuts
+    the series where the remaining weight drops below 1e-18; the dense
+    matrix is the exponential of the inner dense matrix.
     """
 
     def __init__(self, inner: PathOperator):
@@ -1036,39 +1027,23 @@ class ExpOp(PathOperator):
             raise InvalidParameter(f"exp of an operator with bound {inner.bound} overflows") from None
         self._inner = inner
         self._rate = inner.bound
+        # A walk of l steps starts at exp(rate) and divides each step's
+        # ratios by the rate, so no rate**l is ever formed. A zero rate
+        # draws l = 0 only: the exponential is the identity.
+        self._start = complex(self.bound)
+        self._step = ScaledOp(1.0 / self._rate, inner) if self._rate > 0.0 else inner
         self.rows = self.cols = inner.rows
         self.pair = inner.pair
 
     def sample_forward(self, m, rng):
         length = sample_poisson(self._rate, rng)
-        fac = math.exp(self._rate) / self._rate ** length
-        cur = m
-        rp = complex(fac)
-        rq = complex(fac)
-        pairs = []
-        for _ in range(length):
-            t = self._inner.sample_forward(cur, rng)
-            rp *= t.ratio_p
-            rq *= t.ratio_q
-            cur = t.index
-            pairs.append((cur, t.tag))
-        return Transition(cur, (length, tuple(pairs)), rp, rq)
+        t = _walk_forward([self._step] * length, m, rng, self._start)
+        return Transition(t.index, (length, t.tag), t.ratio_p, t.ratio_q)
 
     def sample_backward(self, n, rng):
         length = sample_poisson(self._rate, rng)
-        fac = math.exp(self._rate) / self._rate ** length
-        cur = n
-        rp = complex(fac)
-        rq = complex(fac)
-        pairs = []
-        for _ in range(length):
-            t = self._inner.sample_backward(cur, rng)
-            rp *= t.ratio_p
-            rq *= t.ratio_q
-            pairs.append((cur, t.tag))
-            cur = t.index
-        pairs.reverse()
-        return Transition(cur, (length, tuple(pairs)), rp, rq)
+        t = _walk_backward([self._step] * length, n, rng, self._start)
+        return Transition(t.index, (length, t.tag), t.ratio_p, t.ratio_q)
 
     def dense(self):
         return dense_exp(self._inner.dense())

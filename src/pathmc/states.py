@@ -279,7 +279,7 @@ class ChainEndpoint:
 
     ``sample_head`` draws sigma's column index (where forward chain walks
     begin), ``sample_tail`` its row index (where backward walks begin), and
-    ``ratios(row, col, tag)`` reports alpha/P and alpha/Q for the branch.
+    ``ratios(row, col)`` reports alpha/P and alpha/Q for the entry.
     """
 
     rows: int
@@ -287,13 +287,13 @@ class ChainEndpoint:
     bound: float
     pair: NormPair
 
-    def sample_head(self, rng):
+    def sample_head(self, rng) -> int:
         raise NotImplementedError
 
-    def sample_tail(self, rng):
+    def sample_tail(self, rng) -> int:
         raise NotImplementedError
 
-    def ratios(self, row: int, col: int, tag) -> tuple:
+    def ratios(self, row: int, col: int) -> tuple:
         raise NotImplementedError
 
     def entries(self) -> Iterator[SupportEntry]:
@@ -328,12 +328,12 @@ class Dyad(ChainEndpoint):
         self.bound = bra_norm * ket_norm
 
     def sample_head(self, rng):
-        return self.bra.sample_index(self.pair.p, rng), None
+        return self.bra.sample_index(self.pair.p, rng)
 
     def sample_tail(self, rng):
-        return self.ket.sample_index(self.pair.q, rng), None
+        return self.ket.sample_index(self.pair.q, rng)
 
-    def ratios(self, row, col, tag):
+    def ratios(self, row, col):
         alpha = self.ket.amplitude(row) * self.bra.amplitude(col).conjugate()
         if alpha == 0:
             return 0.0 + 0j, 0.0 + 0j
@@ -393,10 +393,10 @@ class DensityEndpoint(ChainEndpoint):
         self._table = CumulativeTable(diag.tolist())
 
     def sample_head(self, rng):
-        return self._table.draw(rng), None
+        return self._table.draw(rng)
 
     def sample_tail(self, rng):
-        return self._table.draw(rng), None
+        return self._table.draw(rng)
 
     def _check(self, row, col, alpha):
         cap = math.sqrt(self._diag[row] * self._diag[col])
@@ -405,7 +405,7 @@ class DensityEndpoint(ChainEndpoint):
                 f"entry ({row}, {col}) breaks the positivity bound: |{alpha}| > {cap}"
             )
 
-    def ratios(self, row, col, tag):
+    def ratios(self, row, col):
         alpha = complex(self._rho[row, col])
         if alpha == 0:
             return 0.0 + 0j, 0.0 + 0j
@@ -480,12 +480,12 @@ class LowRankEndpoint(ChainEndpoint):
         return sum(s * v[row] * u[col] for s, u, v in self._terms)
 
     def sample_head(self, rng):
-        return self._heads[self._mix.draw(rng)].sample_index(self.pair.p, rng), None
+        return self._heads[self._mix.draw(rng)].sample_index(self.pair.p, rng)
 
     def sample_tail(self, rng):
-        return self._tails[self._mix.draw(rng)].sample_index(self.pair.q, rng), None
+        return self._tails[self._mix.draw(rng)].sample_index(self.pair.q, rng)
 
-    def ratios(self, row, col, tag):
+    def ratios(self, row, col):
         alpha = self._alpha(row, col)
         if alpha == 0:
             return 0.0 + 0j, 0.0 + 0j
@@ -535,14 +535,14 @@ class StateAsOperator(PathOperator):
         self.bound = state.bound
 
     def sample_forward(self, m, rng):
-        col, tag = self._state.sample_head(rng)
-        rp, rq = self._state.ratios(m, col, tag)
-        return Transition(col, tag, rp, rq)
+        col = self._state.sample_head(rng)
+        rp, rq = self._state.ratios(m, col)
+        return Transition(col, None, rp, rq)
 
     def sample_backward(self, n, rng):
-        row, tag = self._state.sample_tail(rng)
-        rp, rq = self._state.ratios(row, n, tag)
-        return Transition(row, tag, rp, rq)
+        row = self._state.sample_tail(rng)
+        rp, rq = self._state.ratios(row, n)
+        return Transition(row, None, rp, rq)
 
     def entries(self):
         return self._state.entries()

@@ -229,12 +229,12 @@ def assert_endpoint_certificate(sigma, dense_ref=None, draws=3000, seed=0):
         heads = Counter()
         tails = Counter()
         for _ in range(draws):
-            col, tag = sigma.sample_head(rng)
+            col = sigma.sample_head(rng)
             heads[col] += 1
-            row, tag2 = sigma.sample_tail(rng)
+            row = sigma.sample_tail(rng)
             tails[row] += 1
-            rp, rq = sigma.ratios(row, col, tag)
-            e = keyed.get((row, col, tag))
+            rp, rq = sigma.ratios(row, col)
+            e = keyed.get((row, col, None))
             if e is None or e.alpha == 0:
                 continue
             if e.prob_p > 0.0:

@@ -380,6 +380,29 @@ def test_overflowing_exponentials_exit_with_typed_errors(tmp_path):
         assert "overflows" in out.stderr
 
 
+def test_large_exponential_rates_estimate(tmp_path):
+    # exp(150 X) used to overflow rate**length once the run started; the
+    # subprocess timeout turns a hang into a failure
+    doc = {
+        "schema_version": 1,
+        "n_levels": 2,
+        "p": 2,
+        "state": {"kind": "basis", "index": 0},
+        "operators": [{"kind": "exp", "inner": {
+            "kind": "scaled", "scale": 150,
+            "inner": {"kind": "permutation", "perm": [1, 0]}}}],
+        "measurement": {"kind": "pauli", "letters": "Z"},
+    }
+    out = subprocess.run(
+        [sys.executable, "-m", "pathmc", "estimate", write(tmp_path, doc),
+         "--epsilon", "1e200"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert math.isfinite(report["estimate_re"]) and math.isfinite(report["estimate_im"])
+
+
 def test_exact_densifies_each_component_once(capsys, monkeypatch):
     circuit = load_file(GROVER)
     components = [circuit.initial, circuit.measurement, *circuit.unitaries]

@@ -6,14 +6,12 @@ import pytest
 from pathmc import (
     Circuit,
     NormPair,
-    PathLedger,
     RngStream,
     StateAsOperator,
     basis_state,
     decoherence_matrix,
     dense_vector,
     diagonal_unitary,
-    draw_path,
     dyad,
     estimate_amplitude,
     estimate_expectation,
@@ -26,9 +24,6 @@ from pathmc import (
     haar_wavelet,
     identity_op,
     interference_capacity,
-    interference_exact,
-    interference_state_exact,
-    optimal_path_distribution,
     pauli_string,
     permutation,
     sample_count,
@@ -36,15 +31,23 @@ from pathmc import (
     uniform_state,
     walsh_hadamard,
 )
+from pathmc.engine import (
+    PathLedger,
+    draw_path,
+    interference_exact,
+    interference_state_exact,
+    optimal_path_distribution,
+)
 from pathmc.errors import (
     DimensionMismatch,
     HistoryCapExceeded,
     InvalidParameter,
     NegativeMassOverflow,
+    NormViolation,
     OracleCapExceeded,
 )
 from pathmc.linalg import SparseEntries, exact_oracle, induced_norm
-from pathmc.operators import from_sparse
+from pathmc.operators import PathOperator, Transition, from_sparse
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -138,6 +141,26 @@ def test_estimate_trace_shape_and_pair_checks():
         estimate_trace(sigma, identity_op(2, NormPair.from_p(1.0)), 0.1, 0.1)
     with pytest.raises(InvalidParameter):
         estimate_trace(sigma, identity_op(2), 0.1, 0.1, workers=0)
+
+
+class _Understated(PathOperator):
+    """The identity with a bound below its certificate."""
+
+    rows = cols = 2
+    bound = 0.5
+    pair = NormPair()
+
+    def sample_forward(self, m, rng):
+        return Transition(m, None, 1.0 + 0j, 1.0 + 0j)
+
+    def sample_backward(self, n, rng):
+        return Transition(n, None, 1.0 + 0j, 1.0 + 0j)
+
+
+def test_sampling_refuses_a_value_above_the_bound():
+    sigma = dyad(basis_state(0, 2), basis_state(0, 2))
+    with pytest.raises(NormViolation, match="certified bound"):
+        estimate_trace(sigma, _Understated(), 0.5, 0.5)
 
 
 def test_workers_split_is_deterministic():

@@ -11,7 +11,6 @@ from pathmc import (
     NormPair,
     RngStream,
     SparseEntries,
-    adjoint,
     block_diagonal,
     controlled,
     diagonal_unitary,
@@ -30,7 +29,6 @@ from pathmc import (
     shift_oracle,
     sum_ops,
     tensor_embed,
-    transpose,
     walsh_hadamard,
 )
 from pathmc import operators
@@ -44,7 +42,7 @@ from pathmc.errors import (
     ShapeMismatch,
 )
 from pathmc.linalg import dense_exp, induced_norm
-from pathmc.operators import PathOperator, QueryCounter
+from pathmc.operators import PathOperator, QueryCounter, adjoint, transpose
 from pathmc.states import StateAsOperator
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -299,6 +297,44 @@ def test_every_operator_samples_its_own_adjoint():
     assert np.allclose(transpose(transpose(op)).dense(), mat)
 
 
+def test_table_operators_are_two_weightings_of_one_law():
+    # the sampling, enumeration and table code lives on _TableOp alone
+    shared = {"sample_forward", "sample_backward", "entries", "_table", "_flipped"}
+    for cls in (operators.DenseOptimal, operators.RowCol):
+        assert issubclass(cls, operators._TableOp)
+        assert not shared & set(vars(cls)), cls.__name__
+    rng = np.random.default_rng(4)
+    mat = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    mat[1, :] = 0.0
+    mat[2, 3] = 0.0
+    for op in (from_dense_optimal(mat), from_dense_optimal(mat).adjoint()):
+        # O(nnz) state: no N x N table, not even |A|
+        assert not any(isinstance(x, np.ndarray) and x.ndim == 2
+                       for x in vars(op).values())
+    # unit weights reduce the law to RowCol's row and column sums, equal
+    # bit for bit to Python's abs summed in input order; the input is 25
+    # distinct cells of an 8 x 5 matrix, out of row order
+    values = {divmod(int(c), 5): complex(v) for c, v in zip(
+        rng.permutation(40)[:25], rng.normal(size=25) + 1j * rng.normal(size=25))}
+    row_sum, col_sum = [0.0] * 8, [0.0] * 5
+    for (m, n), v in values.items():
+        row_sum[m] += abs(v)
+        col_sum[n] += abs(v)
+    pair = NormPair.from_p(3.0)
+    op = from_sparse(SparseEntries(8, 5, [(m, n, v) for (m, n), v in values.items()]), pair)
+    assert op.bound == max(row_sum) ** pair.inv_p * max(col_sum) ** pair.inv_q
+    stream = RngStream(0)
+    for m, _ in values:
+        t = op.sample_forward(m, stream)
+        phase = values[m, t.index] / abs(values[m, t.index])
+        assert (t.ratio_p, t.ratio_q) == (phase * row_sum[m], phase * col_sum[t.index])
+    op = from_rowcol(mat)
+    with pytest.raises(DeadRow):
+        op.sample_forward(1, RngStream(0))
+    with pytest.raises(DeadColumn):
+        op.transpose().sample_backward(1, RngStream(0))
+
+
 def _abs_sums(mat):
     mags = np.abs(mat)
     return float(mags.sum(axis=1).max()), float(mags.sum(axis=0).max())
@@ -453,6 +489,12 @@ def test_exp_of_scaled_permutation():
     assert_operator_certificate(op, dense_exp(inner.dense()), full_law=False, draws=6000)
     with pytest.raises(ShapeMismatch):
         exp_op(from_rowcol(np.ones((2, 3))))
+
+
+def test_exp_of_a_zero_bound_operator_is_the_identity():
+    op = exp_op(scale(0.0, permutation([1, 2, 0])))
+    assert op.bound == 1.0
+    assert_operator_certificate(op, np.eye(3), full_law=False, draws=500)
 
 
 def test_block_diagonal_default_layout():

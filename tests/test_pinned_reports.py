@@ -47,14 +47,13 @@ CASES = {
 
 def report(name, p, epsilon, delta, seed, workers) -> dict:
     """The parsed ``pathmc estimate`` report without ``elapsed_s``."""
+    doc = json.loads((FIXTURES / name).read_text())
+    if p is not None:
+        doc["p"] = p
+    out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = FIXTURES / name
-        if p is not None:
-            doc = json.loads(path.read_text())
-            doc["p"] = p
-            path = Path(tmp) / name
-            path.write_text(json.dumps(doc))
-        out = io.StringIO()
+        path = Path(tmp) / name
+        path.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(out):
             code = main(["estimate", str(path), "--epsilon", str(epsilon),
                          "--delta", str(delta), "--seed", str(seed),

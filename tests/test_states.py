@@ -183,11 +183,11 @@ def test_density_positivity_violation_is_caught():
     rho = np.array([[0.5, 0.9], [0.9, 0.5]])
     sig = density(rho)
     with pytest.raises(NormViolation):
-        sig.ratios(0, 1, None)
+        sig.ratios(0, 1)
     with pytest.raises(NormViolation):
         list(sig.entries())
     # the clean diagonal keeps working
-    assert sig.ratios(0, 0, None)[0] == pytest.approx(1.0)
+    assert sig.ratios(0, 0)[0] == pytest.approx(1.0)
 
 
 def test_low_rank_endpoint():
