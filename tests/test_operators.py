@@ -43,7 +43,7 @@ from pathmc.errors import (
 )
 from pathmc.linalg import dense_exp, induced_norm
 from pathmc.operators import PathOperator, QueryCounter, adjoint, transpose
-from pathmc.states import StateAsOperator
+from pathmc.states import StateAsOperator, projector_family
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -295,6 +295,69 @@ def test_every_operator_samples_its_own_adjoint():
     op = from_rowcol(mat, NormPair.from_p(3.0))
     assert np.allclose(adjoint(adjoint(op)).dense(), mat)
     assert np.allclose(transpose(transpose(op)).dense(), mat)
+
+
+_RECT = np.array([[1.0, 2.0j, 0.0, -0.5], [0.0, -3.0, 0.5 - 0.5j, 1.0j],
+                  [0.25, 0.0, 0.0, 2.0 + 1.0j]])
+
+# One instance of every operator class, built at a pair, and the exponents
+# the class is certified at. StateAsOperator is reached through a projector
+# family, whose blocks it is.
+FLIP_CASES = {
+    operators.DenseOptimal: (lambda pair: from_dense_optimal(_RECT, pair), (2.0, 3.0)),
+    operators.RowCol: (lambda pair: from_rowcol(_RECT, pair), (2.0, 3.0)),
+    operators.PhasedPermutation: (
+        lambda pair: permutation([2, 0, 1], [1j, -1.0, 0.6 + 0.8j], pair), (2.0, 3.0)),
+    operators.PauliString: (lambda pair: pauli_string("XYZ", pair), (2.0, 3.0)),
+    operators.FlatOperator: (lambda pair: fourier_transform(2, pair), (2.0, 3.0)),
+    operators.HaarWavelet: (lambda pair: haar_wavelet(2, pair), (2.0,)),
+    operators._TransposedHaar: (lambda pair: haar_wavelet(2, pair).transpose(), (2.0,)),
+    operators.ShiftOracle: (lambda pair: shift_oracle([1, 2], 2, 3, pair), (2.0, 3.0)),
+    operators.ScaledOp: (lambda pair: scale(0.6 - 0.8j, from_rowcol(_RECT, pair)), (2.0, 3.0)),
+    operators.SumOp: (lambda pair: sum_ops(
+        [(0.5j, pauli_string("XY", pair)), (-1.0, fourier_transform(2, pair))],
+        weights=[0.3, 0.7]), (2.0, 3.0)),
+    operators.ProductOp: (lambda pair: product_ops(
+        [from_rowcol(_RECT, pair), pauli_string("YX", pair)]), (2.0, 3.0)),
+    operators.ExpOp: (lambda pair: exp_op(scale(-0.4j, pauli_string("YX", pair))), (2.0, 3.0)),
+    operators.BlockDiagonal: (lambda pair: block_diagonal(
+        [pauli_string("Y", pair), from_rowcol(_RECT, pair)],
+        row_map=[(1, 0), (0, 0), (1, 1), (0, 1), (1, 2)]), (2.0, 3.0)),
+    operators.TensorEmbed: (lambda pair: tensor_embed(from_dense_optimal(_RECT, pair), 2, 1),
+                            (2.0, 3.0)),
+    StateAsOperator: (lambda pair: projector_family([1, 0], 2, 3, pair), (2.0, 3.0)),
+}
+
+
+def test_flip_cases_cover_every_operator_class():
+    classes = {c for c in vars(operators).values()
+               if isinstance(c, type) and issubclass(c, PathOperator)
+               and c not in (PathOperator, operators._TableOp)}
+    assert set(FLIP_CASES) == classes | {StateAsOperator}
+    for cls, (build, _) in FLIP_CASES.items():
+        op = build(NormPair())
+        assert isinstance(op, cls) or all(isinstance(b, cls) for b in op.blocks), cls
+
+
+@pytest.mark.parametrize("cls, p", [(cls, p) for cls, (_, ps) in FLIP_CASES.items()
+                                    for p in ps],
+                         ids=lambda x: x.__name__ if isinstance(x, type) else f"p={x:g}")
+def test_flips_are_the_adjoint_and_the_transpose(cls, p):
+    build, _ = FLIP_CASES[cls]
+    op = build(NormPair.from_p(p))
+    ref = op.dense()
+    adj = op.adjoint()
+    assert adj.pair == op.pair
+    assert np.allclose(adj.dense(), ref.conj().T, atol=1e-12)
+    assert_operator_certificate(adj, ref.conj().T, draws=1000, full_law=cls is not operators.ExpOp)
+    if cls is StateAsOperator:
+        with pytest.raises(InvalidParameter):
+            op.transpose()
+        return
+    tr = op.transpose()
+    assert tr.pair == op.pair
+    assert np.allclose(tr.dense(), ref.T, atol=1e-12)
+    assert_operator_certificate(tr, ref.T, draws=1000, full_law=cls is not operators.ExpOp)
 
 
 def test_table_operators_are_two_weightings_of_one_law():
