@@ -72,8 +72,10 @@ class SupportEntry(NamedTuple):
 class PathOperator:
     """Base class: a matrix with sampleable forward/backward transitions.
 
-    Every subclass provides ``adjoint()`` and ``transpose()`` with transition
-    laws certified for its own exponent pair."""
+    Every subclass flips itself once, in ``_flipped(conjugate)``: it returns
+    its transpose, or with ``conjugate`` its adjoint, sampling its own laws
+    certified for the same exponent pair. ``adjoint()`` and ``transpose()``
+    are that one method; no generic flip swaps another operator's laws."""
 
     rows: int
     cols: int
@@ -98,6 +100,15 @@ class PathOperator:
         for e in self.entries():
             out[e.row, e.col] += e.alpha
         return out
+
+    def adjoint(self) -> "PathOperator":
+        return self._flipped(True)
+
+    def transpose(self) -> "PathOperator":
+        return self._flipped(False)
+
+    def _flipped(self, conjugate: bool) -> "PathOperator":
+        raise NotImplementedError
 
 
 def _require_same_pair(ops) -> NormPair:
@@ -266,11 +277,11 @@ class DenseOptimal(_TableOp):
             self._w_col[ns] / self._u[ms]) ** self.pair.inv_q
         return float(ratios.max())
 
-    def _flipped_optimal(self, conjugate: bool) -> "DenseOptimal":
+    def _flipped(self, conjugate: bool) -> "DenseOptimal":
         """The flipped magnitudes are |A|^T: at p = q this operator's own
         weights, exchanged, stay optimal; elsewhere the power iteration runs
         on |A| at the pair (q, p)."""
-        out = self._flipped(conjugate)
+        out = super()._flipped(conjugate)
         if self.pair.p != self.pair.q:
             magnitudes = np.zeros((self.rows, self.cols))
             magnitudes[self._entry_rows(), self._by_row.other] = self._by_row.magnitude
@@ -278,12 +289,6 @@ class DenseOptimal(_TableOp):
                 magnitudes, NormPair(self.pair.q, self.pair.p))
             out._weigh(magnitudes.T, vectors.v, vectors.u)
         return out
-
-    def adjoint(self):
-        return self._flipped_optimal(True)
-
-    def transpose(self):
-        return self._flipped_optimal(False)
 
 
 class RowCol(_TableOp):
@@ -322,12 +327,6 @@ class RowCol(_TableOp):
     def _certify(self) -> float:
         return (float(self._w_row.max()) ** self.pair.inv_p
                 * float(self._w_col.max()) ** self.pair.inv_q)
-
-    def adjoint(self):
-        return self._flipped(True)
-
-    def transpose(self):
-        return self._flipped(False)
 
 
 def from_dense_optimal(matrix, pair: NormPair = NormPair()) -> DenseOptimal:
@@ -395,21 +394,11 @@ class PhasedPermutation(PathOperator):
         for m in range(self.rows):
             yield SupportEntry(m, self._perm[m], None, self._phases[m], 1.0, 1.0)
 
-    def adjoint(self):
-        return PhasedPermutation(
-            self._inv,
-            [self._phases[self._inv[n]].conjugate() for n in range(self.rows)],
-            self.pair,
-            self.structure,
-        )
-
-    def transpose(self):
-        return PhasedPermutation(
-            self._inv,
-            [self._phases[self._inv[n]] for n in range(self.rows)],
-            self.pair,
-            self.structure,
-        )
+    def _flipped(self, conjugate):
+        phases = [self._phases[m] for m in self._inv]
+        if conjugate:
+            phases = [ph.conjugate() for ph in phases]
+        return PhasedPermutation(self._inv, phases, self.pair, self.structure)
 
 
 def identity_op(dim: int, pair: NormPair = NormPair()) -> PhasedPermutation:
@@ -483,12 +472,11 @@ class PauliString(PathOperator):
         for m in range(self.rows):
             yield SupportEntry(m, m ^ self._mask, None, self._value(m), 1.0, 1.0)
 
-    def adjoint(self):
-        return self
-
-    def transpose(self):
-        flips = self._letters.count("Y")
-        return self if flips % 2 == 0 else ScaledOp(-1.0, self)
+    def _flipped(self, conjugate):
+        # Hermitian; the transpose negates every Y
+        if conjugate or self._letters.count("Y") % 2 == 0:
+            return self
+        return ScaledOp(-1.0, self)
 
 
 def pauli_string(letters: str, pair: NormPair = NormPair()) -> PauliString:
@@ -533,15 +521,12 @@ class FlatOperator(PathOperator):
             for n in range(self.cols):
                 yield SupportEntry(m, n, None, s * phases[key(m, n)], inv, inv)
 
-    def adjoint(self):
-        if all(ph.imag == 0.0 for ph in self._phases):
+    def _flipped(self, conjugate):
+        if not conjugate or all(ph.imag == 0.0 for ph in self._phases):
             return self
         return FlatOperator(self.rows, self._magnitude,
                             [ph.conjugate() for ph in self._phases], self._key,
                             self.structure, self.pair)
-
-    def transpose(self):
-        return self
 
 
 def grover_reflection(n_qubits: int, pair: NormPair = NormPair()) -> PathOperator:
@@ -636,10 +621,8 @@ class HaarWavelet(PathOperator):
                 a = self.entry(x, y)
                 yield SupportEntry(x, y, None, complex(a), prob_p, inv_q)
 
-    def adjoint(self):
+    def _flipped(self, conjugate):
         return _TransposedHaar(self._n, self.pair)
-
-    transpose = adjoint
 
 
 class _TransposedHaar(HaarWavelet):
@@ -659,13 +642,11 @@ class _TransposedHaar(HaarWavelet):
         return Transition(t.index, None, t.ratio_q, t.ratio_p)
 
     def entries(self):
-        for e in self.adjoint().entries():
+        for e in HaarWavelet(self._n, self.pair).entries():
             yield SupportEntry(e.col, e.row, None, e.alpha, e.prob_q, e.prob_p)
 
-    def adjoint(self):
+    def _flipped(self, conjugate):
         return HaarWavelet(self._n, self.pair)
-
-    transpose = adjoint
 
 
 def haar_wavelet(n_bits: int, pair: NormPair = NormPair()) -> HaarWavelet:
@@ -730,12 +711,10 @@ class ShiftOracle(PathOperator):
                 n = x * self._y_size + (y + shift) % self._y_size
                 yield SupportEntry(m, n, None, 1.0 + 0j, 1.0, 1.0)
 
-    def adjoint(self):
+    def _flipped(self, conjugate):
+        # a real permutation: both flips are the inverse shift
         return ShiftOracle(self._g, self._x_size, self._y_size, self.pair,
                            counter=self.query_counter, negate=self._sign > 0)
-
-    def transpose(self):
-        return self.adjoint()
 
 
 def shift_oracle(g, x_size: int, y_size: int, pair: NormPair = NormPair(),
@@ -787,11 +766,9 @@ class ScaledOp(PathOperator):
         for e in self._inner.entries():
             yield SupportEntry(e.row, e.col, e.tag, self._s * e.alpha, e.prob_p, e.prob_q)
 
-    def adjoint(self):
-        return ScaledOp(self._s.conjugate(), self._inner.adjoint())
-
-    def transpose(self):
-        return ScaledOp(self._s, self._inner.transpose())
+    def _flipped(self, conjugate):
+        s = self._s.conjugate() if conjugate else self._s
+        return ScaledOp(s, self._inner._flipped(conjugate))
 
 
 def scale(s, op: PathOperator) -> ScaledOp:
@@ -885,13 +862,9 @@ class SumOp(PathOperator):
                 yield SupportEntry(e.row, e.col, (l, e.tag), s * e.alpha,
                                    w * e.prob_p, w * e.prob_q)
 
-    def adjoint(self):
-        return SumOp([(s.conjugate(), op.adjoint()) for s, op in self._terms],
-                     self._explicit_weights)
-
-    def transpose(self):
-        return SumOp([(s, op.transpose()) for s, op in self._terms],
-                     self._explicit_weights)
+    def _flipped(self, conjugate):
+        return SumOp([(s.conjugate() if conjugate else s, op._flipped(conjugate))
+                      for s, op in self._terms], self._explicit_weights)
 
 
 def sum_ops(terms, weights=None) -> SumOp:
@@ -995,11 +968,14 @@ class ProductOp(PathOperator):
         for row, col, tags, a, pp, qq in _chain_entries(row_maps):
             yield SupportEntry(row, col, tags, a, pp, qq)
 
-    def adjoint(self):
-        return ProductOp([f.adjoint() for f in reversed(self.factors)])
+    def dense(self):
+        out = self.factors[0].dense()
+        for f in self.factors[1:]:
+            out = out @ f.dense()
+        return out
 
-    def transpose(self):
-        return ProductOp([f.transpose() for f in reversed(self.factors)])
+    def _flipped(self, conjugate):
+        return ProductOp([f._flipped(conjugate) for f in reversed(self.factors)])
 
 
 def product_ops(factors) -> ProductOp:
@@ -1067,11 +1043,8 @@ class ExpOp(PathOperator):
                 yield SupportEntry(row, col, (length, tags), a * inv_factorial,
                                    level_weight * pp, level_weight * qq)
 
-    def adjoint(self):
-        return ExpOp(self._inner.adjoint())
-
-    def transpose(self):
-        return ExpOp(self._inner.transpose())
+    def _flipped(self, conjugate):
+        return ExpOp(self._inner._flipped(conjugate))
 
 
 def exp_op(inner: PathOperator) -> ExpOp:
@@ -1141,12 +1114,8 @@ class BlockDiagonal(PathOperator):
                 yield SupportEntry(row_unmap[e.row], col_unmap[e.col], e.tag,
                                    e.alpha, e.prob_p, e.prob_q)
 
-    def adjoint(self):
-        return BlockDiagonal([b.adjoint() for b in self.blocks],
-                             self._col_map, self._row_map)
-
-    def transpose(self):
-        return BlockDiagonal([b.transpose() for b in self.blocks],
+    def _flipped(self, conjugate):
+        return BlockDiagonal([b._flipped(conjugate) for b in self.blocks],
                              self._col_map, self._row_map)
 
 
@@ -1213,11 +1182,8 @@ class TensorEmbed(PathOperator):
                         e.tag, e.alpha, e.prob_p, e.prob_q,
                     )
 
-    def adjoint(self):
-        return TensorEmbed(self._inner.adjoint(), self._left, self._right)
-
-    def transpose(self):
-        return TensorEmbed(self._inner.transpose(), self._left, self._right)
+    def _flipped(self, conjugate):
+        return TensorEmbed(self._inner._flipped(conjugate), self._left, self._right)
 
 
 def tensor_embed(inner: PathOperator, dim_left: int, dim_right: int) -> TensorEmbed:

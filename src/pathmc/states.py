@@ -547,11 +547,10 @@ class StateAsOperator(PathOperator):
     def entries(self):
         return self._state.entries()
 
-    def adjoint(self):
+    def _flipped(self, conjugate):
+        if not conjugate:
+            raise InvalidParameter("an endpoint used as an operator has no transpose")
         return StateAsOperator(self._state.adjoint())
-
-    def transpose(self):
-        raise InvalidParameter("an endpoint used as an operator has no transpose")
 
 
 def projector_family(table, x_size: int, y_size: int,

@@ -289,7 +289,10 @@ def test_every_operator_samples_its_own_adjoint():
                and c not in (PathOperator, operators._TableOp)]
     classes.append(StateAsOperator)
     for cls in classes:
-        assert "adjoint" in vars(cls) and "transpose" in vars(cls), cls.__name__
+        # one flip per class, never the base class's refusal; adjoint() and
+        # transpose() live on PathOperator alone
+        assert cls._flipped is not PathOperator._flipped, cls.__name__
+        assert not {"adjoint", "transpose"} & set(vars(cls)), cls.__name__
     # away from the balanced pair too, and both are involutions in value
     mat = np.array([[1.0, 2.0j], [3.0, 4.0]])
     op = from_rowcol(mat, NormPair.from_p(3.0))
@@ -361,11 +364,13 @@ def test_flips_are_the_adjoint_and_the_transpose(cls, p):
 
 
 def test_table_operators_are_two_weightings_of_one_law():
-    # the sampling, enumeration and table code lives on _TableOp alone
-    shared = {"sample_forward", "sample_backward", "entries", "_table", "_flipped"}
+    # the sampling, enumeration and table code lives on _TableOp alone;
+    # DenseOptimal's flip only reweighs the flipped table operator
+    shared = {"sample_forward", "sample_backward", "entries", "_table"}
     for cls in (operators.DenseOptimal, operators.RowCol):
         assert issubclass(cls, operators._TableOp)
         assert not shared & set(vars(cls)), cls.__name__
+    assert "_flipped" not in vars(operators.RowCol)
     rng = np.random.default_rng(4)
     mat = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
     mat[1, :] = 0.0
@@ -525,6 +530,19 @@ def test_product_chain():
     assert np.allclose(chain.adjoint().dense(), X.conj().T)
     with pytest.raises(InvalidParameter):
         product_ops([])
+
+
+def test_product_dense_is_the_ordered_matmul(monkeypatch):
+    a = from_rowcol(np.array([[1.0, 2.0j, 0.0], [0.0, 1.0, -1.0]]))
+    b = from_dense_optimal(np.array([[1.0, 0.5], [1j, 1.0], [0.0, 2.0]]))
+    chain = product_ops([a, b, pauli_string("Y")])
+    ref = dense_from_entries(chain.entries(), 2, 2)
+    # no chain enumeration: that grows as the product of the factors' nnz
+    monkeypatch.setattr(operators.ProductOp, "entries", None)
+    assert np.allclose(chain.dense(), ref, atol=1e-12)
+    assert np.array_equal(chain.dense(), a.dense() @ b.dense() @ Y)
+    wide = product_ops([fourier_transform(7), walsh_hadamard(7)])
+    assert np.allclose(wide.dense(), fourier_transform(7).dense() @ walsh_hadamard(7).dense())
 
 
 def test_product_rectangular_chain():
