@@ -455,48 +455,3 @@ def stochastic_mode_estimate(initial, ops, final, epsilon: float, delta: float,
         op_bounds=[f.bound for f in factors],
         mana=[math.log(f.bound) for f in factors],
     )
-
-
-# ---------------------------------------------------------------------------
-# small-dimension reference for the best possible path distribution
-
-
-@dataclass
-class OptimalPathReference:
-    """Exhaustive path table: values, the variance-optimal one-chain
-    distribution proportional to |value|, and its cost, which equals the
-    expression interference."""
-
-    paths: list
-    values: list
-    probabilities: list
-    best_bound: float
-
-
-def optimal_path_distribution(sigma, ops, cap: int = 4096) -> OptimalPathReference:
-    """Enumerate every path of ``Tr{A1 ... AS sigma}`` at small dimensions.
-
-    The distribution proportional to |V(path)| is the best any single-chain
-    sampler can do; its bound ``sum |V|`` is the expression interference and
-    is reported for comparison against certified bounds.
-    """
-    sig = _dense_of(sigma)
-    mats = [_dense_of(a) for a in ops]
-    dims = [m.shape[0] for m in mats] + [sig.shape[0]]
-    total = math.prod(dims)
-    if total > cap:
-        raise HistoryCapExceeded(f"{total} paths exceed the cap of {cap}")
-    paths = []
-    values = []
-    for path in itertools.product(*(range(d) for d in dims)):
-        v = sig[path[-1], path[0]]
-        for t, m in enumerate(mats):
-            v *= m[path[t], path[t + 1]]
-        paths.append(path)
-        values.append(complex(v))
-    mass = sum(abs(v) for v in values)
-    if mass > 0.0:
-        probabilities = [abs(v) / mass for v in values]
-    else:
-        probabilities = [0.0] * len(values)
-    return OptimalPathReference(paths, values, probabilities, mass)

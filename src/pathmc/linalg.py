@@ -246,8 +246,8 @@ def induced_norm(b, q: float) -> float:
     """The induced q -> q operator norm of a nonnegative matrix.
 
     Exact closed forms are used for q = 1 (max column sum) and q = inf
-    (max row sum). Otherwise each connected block is solved by the
-    alternating power iteration and the largest block value is returned.
+    (max row sum). Otherwise it is the norm estimate of the generalized
+    singular vectors: the largest value over the connected blocks.
     """
     mat = entrywise_abs(b)
     if math.isnan(q) or q < 1.0:
@@ -258,15 +258,7 @@ def induced_norm(b, q: float) -> float:
         return float(np.max(mat.sum(axis=0)))
     if q == math.inf:
         return float(np.max(mat.sum(axis=1)))
-    p = conjugate_exponent(q)
-    out = 0.0
-    for rows, cols in block_decompose(mat):
-        if not rows or not cols:
-            continue
-        block = mat[np.ix_(rows, cols)]
-        est, _, _ = _block_norm(block, p, q)
-        out = max(out, est)
-    return out
+    return generalized_singular_vectors(mat, NormPair(conjugate_exponent(q), q)).norm_estimate
 
 
 def generalized_singular_vectors(b, pair: NormPair) -> PositiveVectorPair:

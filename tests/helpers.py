@@ -9,13 +9,15 @@ matrix, and actual sampling agrees with the enumerated laws both in
 frequency and, exactly, in the reported importance ratios.
 """
 
+import itertools
 import math
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from pathmc import RngStream
-from pathmc.errors import DeadColumn, DeadRow
+from pathmc.errors import DeadColumn, DeadRow, HistoryCapExceeded
 from pathmc.linalg import entrywise_abs, induced_norm
 
 SUM_TOL = 1e-12
@@ -248,3 +250,44 @@ def assert_endpoint_certificate(sigma, dense_ref=None, draws=3000, seed=0):
         _check_frequencies(tails, {r: p for r, p in tail_prob.items() if p > 0},
                            draws, "tail law")
     return dense
+
+
+@dataclass
+class OptimalPathReference:
+    """Exhaustive path table: values, the variance-optimal one-chain
+    distribution proportional to |value|, and its cost, which equals the
+    expression interference."""
+
+    paths: list
+    values: list
+    probabilities: list
+    best_bound: float
+
+
+def optimal_path_distribution(sigma, ops, cap: int = 4096) -> OptimalPathReference:
+    """Enumerate every path of ``Tr{A1 ... AS sigma}`` at small dimensions.
+
+    The distribution proportional to |V(path)| is the best any single-chain
+    sampler can do; its bound ``sum |V|`` is the expression interference and
+    is reported for comparison against certified bounds.
+    """
+    sig = sigma.dense()
+    mats = [a.dense() for a in ops]
+    dims = [m.shape[0] for m in mats] + [sig.shape[0]]
+    total = math.prod(dims)
+    if total > cap:
+        raise HistoryCapExceeded(f"{total} paths exceed the cap of {cap}")
+    paths = []
+    values = []
+    for path in itertools.product(*(range(d) for d in dims)):
+        v = sig[path[-1], path[0]]
+        for t, m in enumerate(mats):
+            v *= m[path[t], path[t + 1]]
+        paths.append(path)
+        values.append(complex(v))
+    mass = sum(abs(v) for v in values)
+    if mass > 0.0:
+        probabilities = [abs(v) / mass for v in values]
+    else:
+        probabilities = [0.0] * len(values)
+    return OptimalPathReference(paths, values, probabilities, mass)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import optimal_path_distribution
 from pathmc import (
     Circuit,
     NormPair,
@@ -36,7 +37,6 @@ from pathmc.engine import (
     draw_path,
     interference_exact,
     interference_state_exact,
-    optimal_path_distribution,
 )
 from pathmc.errors import (
     DimensionMismatch,
