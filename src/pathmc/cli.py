@@ -1,11 +1,12 @@
 """Command line front end: estimate, exact, imax, and samples.
 
 Circuit files are strict JSON; anything the schema does not recognize is
-rejected with a message naming the offending location. Exit code 2 means
-the file or the arguments are malformed, exit code 3 means the computation
-itself refused (caps, negativity overflow, certification failures at
-sample time). Reports are printed as JSON with a fixed key order so that
-repeated runs are byte-identical apart from the elapsed time.
+rejected with a message naming the offending location, as are non-finite
+numbers and components larger than the circuit. Exit code 2 means the file
+or the arguments are malformed, exit code 3 means the computation itself
+refused (caps, negativity overflow, certification failures at sample time,
+a non-finite result). Reports are printed as JSON with a fixed key order so
+that repeated runs are byte-identical apart from the elapsed time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .engine import (
     interference_capacity,
     stochastic_mode_estimate,
 )
-from .errors import PathmcError, SchemaError
+from .errors import NonFiniteResult, PathmcError, SchemaError
 from .linalg import NormPair, SparseEntries, induced_norm
 from .operators import (
     diagonal_unitary,
@@ -65,6 +66,7 @@ from .states import (
 SCHEMA_VERSION = 1
 
 _SAMPLEABLE_KINDS = ("basis", "uniform", "product", "phase", "vector")
+_FLOAT_MAX = sys.float_info.max
 _ENDPOINT_KINDS = _SAMPLEABLE_KINDS + ("dyad", "density", "low-rank")
 
 
@@ -84,15 +86,24 @@ def _require_keys(spec: dict, path: str, required: tuple, optional: tuple = ()):
         _fail(path, f"unknown keys {extra}")
 
 
-def _scalar(x, path: str) -> complex:
+def _real(x, path: str) -> float:
+    """A JSON number as a finite float. The range test is False for NaN, the
+    infinities and integers beyond the float range."""
     if isinstance(x, bool):
         _fail(path, "booleans are not numbers")
+    if not isinstance(x, (int, float)):
+        _fail(path, "expected a real number")
+    if not -_FLOAT_MAX <= x <= _FLOAT_MAX:
+        _fail(path, f"non-finite number {x}" if isinstance(x, float)
+              else "integer outside the float range")
+    return float(x)
+
+
+def _scalar(x, path: str) -> complex:
+    if isinstance(x, list) and len(x) == 2:
+        return complex(_real(x[0], f"{path}[0]"), _real(x[1], f"{path}[1]"))
     if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, list) and len(x) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in x
-    ):
-        return complex(x[0], x[1])
+        return complex(_real(x, path))
     _fail(path, "expected a number or a [re, im] pair")
 
 
@@ -120,6 +131,8 @@ def _int_list(x, path: str) -> list:
     for i, v in enumerate(x):
         if isinstance(v, bool) or not isinstance(v, int):
             _fail(path, f"entry {i} is not an integer")
+        if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            _fail(path, f"entry {i} is an integer outside the float range")
         out.append(v)
     return out
 
@@ -128,6 +141,24 @@ def _positive_int(x, path: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int) or x < 1:
         _fail(path, "expected a positive integer")
     return x
+
+
+def _size(x, path: str, dim: int) -> int:
+    """A positive integer no larger than the circuit dimension: no component
+    acts on more levels than the circuit has."""
+    n = _positive_int(x, path)
+    if n > dim:
+        _fail(path, f"{n} levels exceed the circuit, which needs {dim}x{dim}")
+    return n
+
+
+def _qubits(x, path: str, dim: int) -> int:
+    """A positive register width whose 2**n levels fit in the circuit,
+    compared through the bit length so that no 1 << n is built."""
+    n = _positive_int(x, path)
+    if n >= dim.bit_length():
+        _fail(path, f"{n} qubits exceed the circuit, which needs {dim}x{dim}")
+    return n
 
 
 def _kind(spec, path: str, allowed) -> str:
@@ -165,9 +196,11 @@ def _build_state(spec, dim: int, path: str) -> SampleableState:
         if not isinstance(thetas, list) or len(thetas) != dim:
             _fail(f"{path}.thetas", f"expected a list of {dim} angles")
         for i, t in enumerate(thetas):
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                _fail(f"{path}.thetas[{i}]", "expected a real angle")
-        return PhaseState([float(t) for t in thetas])
+            # _real only words the refusal: it costs a call per angle
+            if isinstance(t, bool) or not isinstance(t, (int, float)) \
+                    or not -_FLOAT_MAX <= t <= _FLOAT_MAX:
+                _real(t, f"{path}.thetas[{i}]")
+        return PhaseState(thetas)
     _require_keys(spec, path, ("amplitudes",))
     amps = _vector(spec["amplitudes"], f"{path}.amplitudes")
     if amps.size != dim:
@@ -241,8 +274,8 @@ def _build_operator(spec, dim: int, pair: NormPair, path: str):
         return build(mat, pair)
     if kind == "sparse":
         _require_keys(spec, path, ("rows", "cols", "triplets"), ("law",))
-        rows = _positive_int(spec["rows"], f"{path}.rows")
-        cols = _positive_int(spec["cols"], f"{path}.cols")
+        rows = _size(spec["rows"], f"{path}.rows", dim)
+        cols = _size(spec["cols"], f"{path}.cols", dim)
         if not isinstance(spec["triplets"], list):
             _fail(f"{path}.triplets", "expected a list of [row, col, value] triplets")
         triplets = []
@@ -276,21 +309,21 @@ def _build_operator(spec, dim: int, pair: NormPair, path: str):
         return pauli_string(spec["letters"], pair)
     if kind == "grover":
         _require_keys(spec, path, ("qubits",))
-        return grover_reflection(_positive_int(spec["qubits"], f"{path}.qubits"), pair)
+        return grover_reflection(_qubits(spec["qubits"], f"{path}.qubits", dim), pair)
     if kind == "haar":
         _require_keys(spec, path, ("bits",))
-        return haar_wavelet(_positive_int(spec["bits"], f"{path}.bits"), pair)
+        return haar_wavelet(_qubits(spec["bits"], f"{path}.bits", dim), pair)
     if kind == "fourier":
         _require_keys(spec, path, ("qubits",))
-        return fourier_transform(_positive_int(spec["qubits"], f"{path}.qubits"), pair)
+        return fourier_transform(_qubits(spec["qubits"], f"{path}.qubits", dim), pair)
     if kind == "hadamard":
         _require_keys(spec, path, ("qubits",))
-        return walsh_hadamard(_positive_int(spec["qubits"], f"{path}.qubits"), pair)
+        return walsh_hadamard(_qubits(spec["qubits"], f"{path}.qubits", dim), pair)
     if kind == "oracle":
         _require_keys(spec, path, ("table", "x_size", "y_size"))
         table = _int_list(spec["table"], f"{path}.table")
-        x_size = _positive_int(spec["x_size"], f"{path}.x_size")
-        y_size = _positive_int(spec["y_size"], f"{path}.y_size")
+        x_size = _size(spec["x_size"], f"{path}.x_size", dim)
+        y_size = _size(spec["y_size"], f"{path}.y_size", dim)
         if len(table) != x_size:
             _fail(f"{path}.table", f"expected {x_size} entries, got {len(table)}")
         return shift_oracle(table, x_size, y_size, pair)
@@ -316,11 +349,8 @@ def _build_operator(spec, dim: int, pair: NormPair, path: str):
         if "weights" in spec:
             if not isinstance(spec["weights"], list):
                 _fail(f"{path}.weights", "expected a list of numbers")
-            weights = []
-            for i, w in enumerate(spec["weights"]):
-                if isinstance(w, bool) or not isinstance(w, (int, float)):
-                    _fail(f"{path}.weights[{i}]", "expected a real number")
-                weights.append(float(w))
+            weights = [_real(w, f"{path}.weights[{i}]")
+                       for i, w in enumerate(spec["weights"])]
         return sum_ops(list(zip(scales, ops)), weights)
     if kind == "product":
         _require_keys(spec, path, ("factors",))
@@ -343,19 +373,15 @@ def _build_operator(spec, dim: int, pair: NormPair, path: str):
         ])
     if kind == "tensor-embed":
         _require_keys(spec, path, ("inner", "left", "right"))
-        left = spec["left"]
-        right = spec["right"]
-        for name, val in (("left", left), ("right", right)):
-            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-                _fail(f"{path}.{name}", "expected a positive integer")
         return tensor_embed(
             _build_operator(spec["inner"], dim, pair, f"{path}.inner"),
-            left, right,
+            _size(spec["left"], f"{path}.left", dim),
+            _size(spec["right"], f"{path}.right", dim),
         )
     _require_keys(spec, path, ("table", "x_size", "y_size"))
     table = _int_list(spec["table"], f"{path}.table")
-    x_size = _positive_int(spec["x_size"], f"{path}.x_size")
-    y_size = _positive_int(spec["y_size"], f"{path}.y_size")
+    x_size = _size(spec["x_size"], f"{path}.x_size", dim)
+    y_size = _size(spec["y_size"], f"{path}.y_size", dim)
     if len(table) != x_size:
         _fail(f"{path}.table", f"expected {x_size} entries, got {len(table)}")
     return projector_family(table, x_size, y_size, pair)
@@ -383,9 +409,10 @@ def _parse_p(raw, path: str) -> float:
         return math.inf
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         _fail(path, "expected a number >= 1 or the string \"inf\"")
-    if raw < 1:
+    p = _real(raw, path)
+    if p < 1:
         _fail(path, f"p must be at least 1, got {raw}")
-    return float(raw)
+    return p
 
 
 def load_document(doc):
@@ -457,13 +484,18 @@ def load_file(path: str):
             raise SchemaError(f"cannot read '{path}': {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal too long to convert
         raise SchemaError(f"'{path}' is not valid JSON: {exc}") from exc
     return load_document(doc)
 
 
 def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise NonFiniteResult(f"the result is not finite: {doc}") from None
+    print(text)
 
 
 def _report_doc(report, extra=None) -> dict:

@@ -83,5 +83,9 @@ class NegativeMassOverflow(PathmcError):
     """The sampling cost of a stochastic-mode chain exceeds the allowed cap."""
 
 
+class NonFiniteResult(PathmcError):
+    """A computed result is NaN or infinite and cannot be reported."""
+
+
 class SchemaError(PathmcError):
     """A circuit file does not conform to the documented schema."""

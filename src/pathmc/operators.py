@@ -368,7 +368,8 @@ class PhasedPermutation(PathOperator):
         if len(phases) != dim:
             raise InvalidParameter("need one phase per index")
         for ph in phases:
-            if abs(abs(ph) - 1.0) > _PHASE_TOL:
+            # written so that a NaN phase fails it
+            if not abs(abs(ph) - 1.0) <= _PHASE_TOL:
                 raise NonUnitPhase(f"phase {ph} is off the unit circle")
         inv = [0] * dim
         for m, n in enumerate(perm):

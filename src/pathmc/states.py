@@ -173,11 +173,12 @@ class PhaseState(SampleableState):
         if callable(thetas):
             if dim is None:
                 raise InvalidParameter("a phase function needs an explicit dim")
-            self._theta = [float(thetas(x)) for x in range(dim)]
-        else:
-            self._theta = [float(t) for t in thetas]
-            if dim is not None and dim != len(self._theta):
-                raise InvalidParameter("dim disagrees with the number of phases")
+            thetas = map(thetas, range(dim))
+        self._theta = [float(t) for t in thetas]
+        if dim is not None and dim != len(self._theta):
+            raise InvalidParameter("dim disagrees with the number of phases")
+        if not all(map(math.isfinite, self._theta)):
+            raise InvalidParameter("phase state has a non-finite angle")
         self.dim = len(self._theta)
         if self.dim == 0:
             raise InvalidParameter("empty phase state")

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -432,3 +433,95 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "9587"
+
+
+def _circuit(state, operators, measurement, p=2):
+    return {"schema_version": 1, "n_levels": 2, "p": p, "state": state,
+            "operators": operators, "measurement": measurement}
+
+
+def _chain(matrix, initial=(1.0, 0.0)):
+    return {"schema_version": 1, "n_levels": 2, "p": "inf",
+            "state": {"kind": "vector", "amplitudes": list(initial)},
+            "operators": [{"kind": "dense", "matrix": matrix}],
+            "measurement": {"kind": "vector", "amplitudes": [1.0, 1.0]}}
+
+
+_BASIS = {"kind": "basis", "index": 0}
+_Z = {"kind": "pauli", "letters": "Z"}
+
+NON_FINITE_INPUTS = {
+    "diagonal": _circuit(_BASIS, [{"kind": "diagonal", "values": [math.nan, 1.0]}], _Z),
+    "phase": _circuit({"kind": "phase", "thetas": [math.nan, 0.0]}, [], _Z),
+    "permutation": _circuit(_BASIS, [{"kind": "permutation", "perm": [1, 0],
+                                      "phases": [math.nan, 1.0]}], _Z),
+    "p": _circuit(_BASIS, [], _Z, p=math.nan),
+    "p-infinity": _circuit(_BASIS, [], _Z, p=math.inf),
+    "scaled": _circuit(_BASIS, [{"kind": "scaled", "scale": [0.0, math.nan], "inner": _Z}], _Z),
+    "sum": _circuit(_BASIS, [{"kind": "sum", "terms": [_Z], "scales": [math.nan]}], _Z),
+    "sum-weights": _circuit(_BASIS, [{"kind": "sum", "terms": [_Z], "weights": [math.inf]}], _Z),
+    "chain-matrix": _chain([[math.nan, 0.5], [0.5, 0.5]]),
+    "chain-vector": _chain([[0.5, 0.5], [0.5, 0.5]], initial=(math.inf, 0.0)),
+    "huge-integer": _circuit(_BASIS, [{"kind": "diagonal", "values": [10 ** 400, 1.0]}], _Z),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+@pytest.mark.parametrize("command", ["estimate", "exact", "imax"])
+def test_non_finite_input_exits_two(capsys, tmp_path, name, command):
+    code, out, err = run_cli(capsys, command, write(tmp_path, NON_FINITE_INPUTS[name]))
+    assert (code, out) == (2, "")
+    assert "non-finite" in err or "outside the float range" in err
+
+
+@pytest.mark.parametrize("command", ["exact", "imax"])
+def test_non_finite_result_exits_three(capsys, tmp_path, command):
+    # each column sums to -2e308, which overflows
+    doc = _chain([[-1e308, 0.5], [-1e308, 0.5]])
+    code, out, err = run_cli(capsys, command, write(tmp_path, doc))
+    assert (code, out) == (3, "")
+    assert "not finite" in err
+
+
+_OVERSIZED = {
+    "hadamard": {"kind": "hadamard", "qubits": 10 ** 6},
+    "haar": {"kind": "haar", "bits": 10 ** 6},
+    "fourier": {"kind": "fourier", "qubits": 64},
+    "grover": {"kind": "grover", "qubits": 70},
+    "projector-family": {"kind": "projector-family", "table": [0], "x_size": 1,
+                         "y_size": 10 ** 12},
+    "sparse": {"kind": "sparse", "rows": 10 ** 12, "cols": 2, "triplets": []},
+    "oracle": {"kind": "oracle", "table": [0], "x_size": 1, "y_size": 3},
+    "tensor-embed": {"kind": "tensor-embed", "inner": _Z, "left": 1, "right": 10 ** 12},
+}
+
+_RUN_UNDER_LIMIT = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from pathmc.cli import main
+codes = {}
+for path in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        codes[path] = [main(["exact", path]), err.getvalue()]
+print(json.dumps(codes))
+"""
+
+
+def test_oversized_components_exit_two(tmp_path):
+    # a component larger than the circuit is refused before anything of its
+    # size is built; the address-space limit turns a regression into a
+    # MemoryError instead of exhausting the machine
+    paths = {}
+    for name, spec in _OVERSIZED.items():
+        (tmp_path / name).mkdir()
+        paths[name] = write(tmp_path / name, _circuit(_BASIS, [spec], _Z))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", _RUN_UNDER_LIMIT, *paths.values()],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout)
+    for name, path in paths.items():
+        code, err = codes[path]
+        assert code == 2, (name, err)
+        assert "exceed the circuit, which needs 2x2" in err, (name, err)

@@ -72,6 +72,11 @@ def test_permutation_validation():
         permutation([])
     with pytest.raises(NonUnitPhase):
         permutation([1, 0], [0.5, 1.0])
+    for bad in (math.nan, complex(math.nan, 0.0), math.inf):
+        with pytest.raises(NonUnitPhase):
+            permutation([1, 0], [bad, 1.0])
+        with pytest.raises(NonUnitPhase):
+            diagonal_unitary([1.0, bad])
     with pytest.raises(InvalidParameter):
         permutation([0, 1], [1.0])
 
