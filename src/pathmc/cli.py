@@ -196,10 +196,9 @@ def _build_state(spec, dim: int, path: str) -> SampleableState:
         if not isinstance(thetas, list) or len(thetas) != dim:
             _fail(f"{path}.thetas", f"expected a list of {dim} angles")
         for i, t in enumerate(thetas):
-            # _real only words the refusal: it costs a call per angle
-            if isinstance(t, bool) or not isinstance(t, (int, float)) \
-                    or not -_FLOAT_MAX <= t <= _FLOAT_MAX:
-                _real(t, f"{path}.thetas[{i}]")
+            if isinstance(t, bool) or not isinstance(t, (int, float)):
+                _fail(f"{path}.thetas[{i}]", "expected a real angle")
+        # PhaseState refuses non-finite angles in the pass that converts them
         return PhaseState(thetas)
     _require_keys(spec, path, ("amplitudes",))
     amps = _vector(spec["amplitudes"], f"{path}.amplitudes")

@@ -643,7 +643,7 @@ class _TransposedHaar(HaarWavelet):
         return Transition(t.index, None, t.ratio_q, t.ratio_p)
 
     def entries(self):
-        for e in HaarWavelet(self._n, self.pair).entries():
+        for e in self.adjoint().entries():
             yield SupportEntry(e.col, e.row, None, e.alpha, e.prob_q, e.prob_p)
 
     def _flipped(self, conjugate):

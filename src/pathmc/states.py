@@ -174,11 +174,15 @@ class PhaseState(SampleableState):
             if dim is None:
                 raise InvalidParameter("a phase function needs an explicit dim")
             thetas = map(thetas, range(dim))
-        self._theta = [float(t) for t in thetas]
+        try:
+            self._theta = [float(t) for t in thetas]
+            finite = all(map(math.isfinite, self._theta))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise InvalidParameter("phase state has a non-finite angle")
         if dim is not None and dim != len(self._theta):
             raise InvalidParameter("dim disagrees with the number of phases")
-        if not all(map(math.isfinite, self._theta)):
-            raise InvalidParameter("phase state has a non-finite angle")
         self.dim = len(self._theta)
         if self.dim == 0:
             raise InvalidParameter("empty phase state")

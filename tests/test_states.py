@@ -101,7 +101,7 @@ def test_phase_state():
     assert by_fn.amplitude(2) == pytest.approx(np.exp(0.2j) / math.sqrt(3.0))
     with pytest.raises(InvalidParameter):
         phase_state(lambda k: 0.0)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, 10 ** 400):
         with pytest.raises(InvalidParameter, match="non-finite"):
             phase_state([0.0, bad])
         with pytest.raises(InvalidParameter, match="non-finite"):
