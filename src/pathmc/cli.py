@@ -67,6 +67,7 @@ SCHEMA_VERSION = 1
 
 _SAMPLEABLE_KINDS = ("basis", "uniform", "product", "phase", "vector")
 _FLOAT_MAX = sys.float_info.max
+_PLAIN = (int, float)
 _ENDPOINT_KINDS = _SAMPLEABLE_KINDS + ("dyad", "density", "low-rank")
 
 
@@ -100,8 +101,17 @@ def _real(x, path: str) -> float:
 
 
 def _scalar(x, path: str) -> complex:
+    # plain JSON numbers in the float range take the inline test, as this
+    # runs for every matrix entry; the rest goes through _real, which
+    # converts other real types and words each refusal
     if isinstance(x, list) and len(x) == 2:
-        return complex(_real(x[0], f"{path}[0]"), _real(x[1], f"{path}[1]"))
+        re, im = x
+        if type(re) in _PLAIN and type(im) in _PLAIN \
+                and -_FLOAT_MAX <= re <= _FLOAT_MAX and -_FLOAT_MAX <= im <= _FLOAT_MAX:
+            return complex(re, im)
+        return complex(_real(re, f"{path}[0]"), _real(im, f"{path}[1]"))
+    if type(x) in _PLAIN and -_FLOAT_MAX <= x <= _FLOAT_MAX:
+        return complex(x)
     if isinstance(x, (int, float)):
         return complex(_real(x, path))
     _fail(path, "expected a number or a [re, im] pair")

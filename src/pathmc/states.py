@@ -175,8 +175,11 @@ class PhaseState(SampleableState):
                 raise InvalidParameter("a phase function needs an explicit dim")
             thetas = map(thetas, range(dim))
         try:
-            self._theta = [float(t) for t in thetas]
-            finite = all(map(math.isfinite, self._theta))
+            self._theta = list(map(float, thetas))
+            # a finite sum means finite angles, and costs a quarter of the
+            # check per angle, which runs only if finite angles overflow it
+            finite = (math.isfinite(sum(self._theta))
+                      or all(map(math.isfinite, self._theta)))
         except OverflowError:  # an integer beyond the float range
             finite = False
         if not finite:

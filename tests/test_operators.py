@@ -288,23 +288,6 @@ def test_scaled_operator():
     assert np.allclose(op.adjoint().dense(), (-2j * base.dense()).conj().T)
 
 
-def test_every_operator_samples_its_own_adjoint():
-    classes = [c for c in vars(operators).values()
-               if isinstance(c, type) and issubclass(c, PathOperator)
-               and c not in (PathOperator, operators._TableOp)]
-    classes.append(StateAsOperator)
-    for cls in classes:
-        # one flip per class, never the base class's refusal; adjoint() and
-        # transpose() live on PathOperator alone
-        assert cls._flipped is not PathOperator._flipped, cls.__name__
-        assert not {"adjoint", "transpose"} & set(vars(cls)), cls.__name__
-    # away from the balanced pair too, and both are involutions in value
-    mat = np.array([[1.0, 2.0j], [3.0, 4.0]])
-    op = from_rowcol(mat, NormPair.from_p(3.0))
-    assert np.allclose(adjoint(adjoint(op)).dense(), mat)
-    assert np.allclose(transpose(transpose(op)).dense(), mat)
-
-
 _RECT = np.array([[1.0, 2.0j, 0.0, -0.5], [0.0, -3.0, 0.5 - 0.5j, 1.0j],
                   [0.25, 0.0, 0.0, 2.0 + 1.0j]])
 
@@ -337,14 +320,24 @@ FLIP_CASES = {
 }
 
 
-def test_flip_cases_cover_every_operator_class():
-    classes = {c for c in vars(operators).values()
+def test_every_operator_samples_its_own_adjoint():
+    classes = [c for c in vars(operators).values()
                if isinstance(c, type) and issubclass(c, PathOperator)
-               and c not in (PathOperator, operators._TableOp)}
-    assert set(FLIP_CASES) == classes | {StateAsOperator}
-    for cls, (build, _) in FLIP_CASES.items():
-        op = build(NormPair())
+               and c not in (PathOperator, operators._TableOp)]
+    classes.append(StateAsOperator)
+    assert set(FLIP_CASES) == set(classes)
+    for cls in classes:
+        # one flip per class, never the base class's refusal; adjoint() and
+        # transpose() live on PathOperator alone
+        assert cls._flipped is not PathOperator._flipped, cls.__name__
+        assert not {"adjoint", "transpose"} & set(vars(cls)), cls.__name__
+        op = FLIP_CASES[cls][0](NormPair())
         assert isinstance(op, cls) or all(isinstance(b, cls) for b in op.blocks), cls
+    # away from the balanced pair too, and both are involutions in value
+    mat = np.array([[1.0, 2.0j], [3.0, 4.0]])
+    op = from_rowcol(mat, NormPair.from_p(3.0))
+    assert np.allclose(adjoint(adjoint(op)).dense(), mat)
+    assert np.allclose(transpose(transpose(op)).dense(), mat)
 
 
 @pytest.mark.parametrize("cls, p", [(cls, p) for cls, (_, ps) in FLIP_CASES.items()
