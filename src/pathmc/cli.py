@@ -28,7 +28,7 @@ from .engine import (
     stochastic_mode_estimate,
 )
 from .errors import NonFiniteResult, PathmcError, SchemaError
-from .linalg import NormPair, SparseEntries, induced_norm
+from .linalg import NormPair, SparseEntries, require_dense
 from .operators import (
     diagonal_unitary,
     exp_op,
@@ -117,18 +117,22 @@ def _scalar(x, path: str) -> complex:
     _fail(path, "expected a number or a [re, im] pair")
 
 
-def _vector(x, path: str) -> np.ndarray:
+def _numbers(x, path: str) -> list:
     if not isinstance(x, list) or not x:
         _fail(path, "expected a nonempty list of numbers")
-    return np.array([_scalar(v, f"{path}[{i}]") for i, v in enumerate(x)],
-                    dtype=complex)
+    return [_scalar(v, f"{path}[{i}]") for i, v in enumerate(x)]
+
+
+def _vector(x, path: str) -> np.ndarray:
+    return np.array(_numbers(x, path), dtype=complex)
 
 
 def _matrix(x, path: str) -> np.ndarray:
+    # one array for the whole matrix, not one per row
     if not isinstance(x, list) or not x:
         _fail(path, "expected a nonempty list of rows")
-    rows = [_vector(row, f"{path}[{i}]") for i, row in enumerate(x)]
-    widths = {r.size for r in rows}
+    rows = [_numbers(row, f"{path}[{i}]") for i, row in enumerate(x)]
+    widths = {len(r) for r in rows}
     if len(widths) != 1:
         _fail(path, f"rows have inconsistent lengths {sorted(widths)}")
     return np.array(rows, dtype=complex)
@@ -230,18 +234,8 @@ def _build_endpoint(spec, dim: int, pair: NormPair, path: str):
             pair=pair,
         )
     if kind == "density":
-        _require_keys(spec, path, (), ("matrix", "path"))
-        if ("matrix" in spec) == ("path" in spec):
-            _fail(path, "density takes exactly one of 'matrix' or 'path'")
-        if "matrix" in spec:
-            rho = _matrix(spec["matrix"], f"{path}.matrix")
-        else:
-            if not isinstance(spec["path"], str):
-                _fail(f"{path}.path", "expected a file path string")
-            try:
-                rho = np.load(spec["path"])
-            except (OSError, ValueError) as exc:
-                _fail(f"{path}.path", f"could not load '{spec['path']}': {exc}")
+        _require_keys(spec, path, ("matrix",))
+        rho = _matrix(spec["matrix"], f"{path}.matrix")
         if rho.shape != (dim, dim):
             _fail(path, f"density must be {dim}x{dim}, got {rho.shape}")
         return DensityEndpoint(rho, pair)
@@ -276,7 +270,8 @@ def _build_operator(spec, dim: int, pair: NormPair, path: str):
     if kind == "dense":
         _require_keys(spec, path, ("matrix",), ("law",))
         mat = _matrix(spec["matrix"], f"{path}.matrix")
-        law = spec.get("law", "optimal")
+        # the optimal law needs 1 < p < inf
+        law = spec.get("law", "rowcol" if pair.p in (1.0, math.inf) else "optimal")
         if law not in ("optimal", "rowcol"):
             _fail(f"{path}.law", f"law must be 'optimal' or 'rowcol', got {law!r}")
         build = from_dense_optimal if law == "optimal" else from_rowcol
@@ -328,14 +323,15 @@ def _build_operator(spec, dim: int, pair: NormPair, path: str):
     if kind == "hadamard":
         _require_keys(spec, path, ("qubits",))
         return walsh_hadamard(_qubits(spec["qubits"], f"{path}.qubits", dim), pair)
-    if kind == "oracle":
+    if kind in ("oracle", "projector-family"):
         _require_keys(spec, path, ("table", "x_size", "y_size"))
         table = _int_list(spec["table"], f"{path}.table")
         x_size = _size(spec["x_size"], f"{path}.x_size", dim)
         y_size = _size(spec["y_size"], f"{path}.y_size", dim)
         if len(table) != x_size:
             _fail(f"{path}.table", f"expected {x_size} entries, got {len(table)}")
-        return shift_oracle(table, x_size, y_size, pair)
+        build = shift_oracle if kind == "oracle" else projector_family
+        return build(table, x_size, y_size, pair)
     if kind == "scaled":
         _require_keys(spec, path, ("scale", "inner"))
         return scale(
@@ -380,20 +376,12 @@ def _build_operator(spec, dim: int, pair: NormPair, path: str):
             _build_operator(b, dim, pair, f"{path}.blocks[{i}]")
             for i, b in enumerate(spec["blocks"])
         ])
-    if kind == "tensor-embed":
-        _require_keys(spec, path, ("inner", "left", "right"))
-        return tensor_embed(
-            _build_operator(spec["inner"], dim, pair, f"{path}.inner"),
-            _size(spec["left"], f"{path}.left", dim),
-            _size(spec["right"], f"{path}.right", dim),
-        )
-    _require_keys(spec, path, ("table", "x_size", "y_size"))
-    table = _int_list(spec["table"], f"{path}.table")
-    x_size = _size(spec["x_size"], f"{path}.x_size", dim)
-    y_size = _size(spec["y_size"], f"{path}.y_size", dim)
-    if len(table) != x_size:
-        _fail(f"{path}.table", f"expected {x_size} entries, got {len(table)}")
-    return projector_family(table, x_size, y_size, pair)
+    _require_keys(spec, path, ("inner", "left", "right"))
+    return tensor_embed(
+        _build_operator(spec["inner"], dim, pair, f"{path}.inner"),
+        _size(spec["left"], f"{path}.left", dim),
+        _size(spec["right"], f"{path}.right", dim),
+    )
 
 
 def _build_measurement(spec, dim: int, pair: NormPair, path: str):
@@ -406,7 +394,7 @@ def _build_measurement(spec, dim: int, pair: NormPair, path: str):
 
 @dataclass
 class StochasticFile:
-    """A parsed stochastic-mode input: distribution, maps, final function."""
+    """A parsed stochastic-mode input: distribution, (inf, 1) operators, payoff."""
 
     initial: np.ndarray
     mats: list
@@ -448,21 +436,11 @@ def load_document(doc):
         final = _vector(meas["amplitudes"], "$.measurement.amplitudes")
         if initial.size != dim or final.size != dim:
             _fail("$", f"state and measurement vectors must have {dim} entries")
-        mats = []
-        for i, op in enumerate(doc["operators"]):
-            opath = f"$.operators[{i}]"
-            if _kind(op, opath, _OP_KINDS) != "dense":
-                _fail(opath, "stochastic chains only take dense operators")
-            _require_keys(op, opath, ("matrix",))
-            mat = _matrix(op["matrix"], f"{opath}.matrix")
-            if mat.shape != (dim, dim):
-                _fail(f"{opath}.matrix", f"expected {dim}x{dim}, got {mat.shape}")
-            mats.append(mat)
-        return StochasticFile(initial, mats, final)
 
     pair = NormPair.from_p(p)
     try:
-        state = _build_endpoint(doc["state"], dim, pair, "$.state")
+        if not stochastic:
+            state = _build_endpoint(doc["state"], dim, pair, "$.state")
         ops = []
         for i, spec in enumerate(doc["operators"]):
             op = _build_operator(spec, dim, pair, f"$.operators[{i}]")
@@ -470,6 +448,8 @@ def load_document(doc):
                 _fail(f"$.operators[{i}]",
                       f"operator is {op.rows}x{op.cols}, circuit needs {dim}x{dim}")
             ops.append(op)
+        if stochastic:
+            return StochasticFile(initial, ops, final)
         measurement = _build_measurement(meas, dim, pair, "$.measurement")
         if (measurement.rows, measurement.cols) != (dim, dim):
             _fail("$.measurement",
@@ -543,9 +523,11 @@ def cmd_estimate(args) -> int:
 def cmd_exact(args) -> int:
     loaded = load_file(args.circuit)
     if isinstance(loaded, StochasticFile):
+        require_dense(loaded.initial.size)
         acc = loaded.initial.copy()
         abs_acc = np.abs(loaded.initial)
-        for m in loaded.mats:
+        for op in loaded.mats:
+            m = op.dense()
             acc = m @ acc
             abs_acc = np.abs(m) @ abs_acc
         expectation = complex(loaded.final @ acc)
@@ -567,7 +549,7 @@ def cmd_exact(args) -> int:
 def cmd_imax(args) -> int:
     loaded = load_file(args.circuit)
     if isinstance(loaded, StochasticFile):
-        caps = [float(induced_norm(np.abs(m), 1.0)) for m in loaded.mats]
+        caps = [float(interference_capacity(op)) for op in loaded.mats]
         _print_json({"operators": caps, "chain": float(math.prod(caps))})
         return 0
     caps = [float(interference_capacity(u)) for u in loaded.unitaries]

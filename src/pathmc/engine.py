@@ -29,18 +29,26 @@ from .errors import (
     InvalidParameter,
     NegativeMassOverflow,
     NormViolation,
-    OracleCapExceeded,
 )
 from .linalg import (
-    ORACLE_CAP,
     NormPair,
     entrywise_abs,
     exact_oracle,
     induced_norm,
+    require_dense,
 )
 from .operators import PathOperator, ProductOp, from_rowcol, identity_op
 from .sampling import EstimateReport, RngStream, StreamingMoments, sample_count
 from .states import ChainEndpoint, DenseVector, Dyad, SampleableState
+
+#: Largest path count a run may draw; a larger K is refused before sampling.
+PATH_CAP = 10 ** 9
+
+#: Largest number of histories a decoherence matrix enumerates.
+HISTORY_CAP = 4096
+
+#: Largest sampling cost b a stochastic-mode chain may have.
+NEGATIVITY_CAP = 1e6
 
 
 @dataclass
@@ -141,6 +149,9 @@ def _estimate(sigma: ChainEndpoint, op: PathOperator, b: float,
     _check_trace_shapes(sigma, op)
     pair = sigma.pair
     k = sample_count(epsilon, delta, b)
+    if k > PATH_CAP:
+        raise InvalidParameter(
+            f"the run needs K = {k} paths, above the path-count cap of {PATH_CAP}")
     # a value beyond b means some bound understates its operator, and the
     # (epsilon, delta) promise no longer holds
     limit = b * (1.0 + 1e-9)
@@ -220,17 +231,25 @@ class AmplitudeReport:
         return self.report.estimate
 
 
+def _amplitude_chain(ket: SampleableState, factors: list, bra: SampleableState,
+                     pair: NormPair) -> tuple:
+    """The dyad ``|ket><bra|``, the product ``A_S ... A_1`` of ``factors``
+    given in application order, and the bound b of the trace, multiplied in
+    application order."""
+    sigma = Dyad(ket=ket, bra=bra, pair=pair)
+    op = ProductOp(factors[::-1]) if factors else identity_op(sigma.rows, pair)
+    b = sigma.bound
+    for f in factors:
+        b *= f.bound
+    return sigma, op, b
+
+
 def estimate_amplitude(initial: SampleableState, unitaries: Sequence[PathOperator],
                        final: SampleableState, epsilon: float, delta: float,
                        seed: int = 0, workers: int = 1,
                        pair: NormPair = NormPair()) -> AmplitudeReport:
     """Estimate ``<final| UT ... U1 |initial>`` through a single dyad trace."""
-    sigma = Dyad(ket=initial, bra=final, pair=pair)
-    factors = list(reversed(list(unitaries)))
-    op = ProductOp(factors) if factors else identity_op(sigma.rows, pair)
-    b = sigma.bound
-    for f in factors:
-        b *= f.bound
+    sigma, op, b = _amplitude_chain(initial, list(unitaries), final, pair)
     report = _estimate(sigma, op, b, epsilon, delta, seed, workers, "amplitude")
     mag = abs(report.estimate)
     return AmplitudeReport(
@@ -262,6 +281,7 @@ def expression_interference(sigma, ops) -> float:
 
 
 def _densify(circuit: Circuit) -> tuple:
+    require_dense(circuit.dim)
     return (circuit.initial.dense(), [u.dense() for u in circuit.unitaries],
             circuit.measurement.dense())
 
@@ -339,11 +359,7 @@ def interference_capacity(target, pair: NormPair = NormPair()) -> float:
             form = _CLOSED_FORMS.get(structure[0])
             if form is not None:
                 return form(structure)
-        if max(target.rows, target.cols) > ORACLE_CAP:
-            raise OracleCapExceeded(
-                f"no closed form declared and {target.rows}x{target.cols} "
-                f"exceeds the dense cap"
-            )
+        require_dense(max(target.rows, target.cols))
         return induced_norm(entrywise_abs(target.dense()), target.pair.q)
     return induced_norm(entrywise_abs(np.asarray(target, dtype=complex)), pair.q)
 
@@ -359,20 +375,21 @@ class DecoherenceDiagnostics:
     max_offdiagonal: float
 
 
-def decoherence_matrix(circuit: Circuit, cap: int = 4096):
+def decoherence_matrix(circuit: Circuit):
     """The full history matrix ``D[j, k]`` of a circuit.
 
     Histories are tuples (j0, ..., jT) of basis indices between the
     operators; ``D[j, k] = M[kT, jT] * amp(j) * conj(amp(k)) * sigma[j0, k0]``
     with ``amp(j)`` the product of the operator matrix elements along j.
     Row/column order is lexicographic in the history tuple. Raises
-    :class:`HistoryCapExceeded` when there are more than ``cap`` histories.
+    :class:`HistoryCapExceeded` when there are more than ``HISTORY_CAP``
+    histories.
     """
     dim = circuit.dim
     steps = len(circuit.unitaries)
     count = dim ** (steps + 1)
-    if count > cap:
-        raise HistoryCapExceeded(f"{count} histories exceed the cap of {cap}")
+    if count > HISTORY_CAP:
+        raise HistoryCapExceeded(f"{count} histories exceed the cap of {HISTORY_CAP}")
     sigma, units, meas = _densify(circuit)
 
     histories = list(itertools.product(range(dim), repeat=steps + 1))
@@ -420,34 +437,34 @@ class StochasticReport:
 
 
 def stochastic_mode_estimate(initial, ops, final, epsilon: float, delta: float,
-                             seed: int = 0, workers: int = 1,
-                             b_cap: float = 1e6) -> StochasticReport:
+                             seed: int = 0, workers: int = 1) -> StochasticReport:
     """Estimate ``<final, A_S ... A_1 initial>`` with the (inf, 1) pair.
 
-    Only the backward direction is ever sampled: the tail is drawn from
-    ``|initial|`` and each operator steps column-proportionally, which for
-    column-stochastic matrices is exactly the forward-in-time Markov walk.
-    Each operator's bound is its largest absolute column sum; its logarithm
-    (the negativity price, zero for genuinely stochastic maps) is reported
-    per operator. The total bound ``max|final| * prod(bounds) * sum|initial|``
-    must stay under ``b_cap``.
+    ``ops`` are operators built at that pair, or matrices, which get
+    row/column laws. Only the backward direction is ever sampled: the tail
+    is drawn from ``|initial|`` and each operator steps along its backward
+    law, which for a column-stochastic matrix is exactly the forward-in-time
+    Markov walk. Each operator's bound is its largest absolute column sum;
+    its logarithm (the negativity price, zero for genuinely stochastic maps)
+    is reported per operator. A factor with bound 0 is refused, and the
+    total bound ``max|final| * prod(bounds) * sum|initial|`` must stay under
+    ``NEGATIVITY_CAP``.
     """
     pair = NormPair(math.inf, 1.0)
-    mats = [np.asarray(a, dtype=complex) for a in ops]
-    dims = {m.shape for m in mats}
-    if len(dims) > 1 or any(m.shape[0] != m.shape[1] for m in mats):
-        raise DimensionMismatch(f"chain operators must share one square shape, got {dims}")
-    init_state = DenseVector(initial)
+    factors = [a if isinstance(a, PathOperator)
+               else from_rowcol(np.asarray(a, dtype=complex), pair) for a in ops]
+    shapes = {(f.rows, f.cols) for f in factors}
+    if len(shapes) > 1 or any(r != c for r, c in shapes):
+        raise DimensionMismatch(f"chain operators must share one square shape, got {shapes}")
+    for t, f in enumerate(factors):
+        if f.bound == 0.0:
+            raise InvalidParameter(f"operator {t} has bound 0: no path through it carries weight")
     fin = np.asarray(final, dtype=complex).ravel()
-    sigma = Dyad(ket=init_state, bra=DenseVector(fin.conj()), pair=pair)
-    factors = [from_rowcol(m, pair) for m in mats]
-    op = ProductOp(list(reversed(factors))) if factors else identity_op(sigma.rows, pair)
-    b = sigma.bound
-    for f in factors:
-        b *= f.bound
-    if b > b_cap:
+    sigma, op, b = _amplitude_chain(DenseVector(initial), factors,
+                                    DenseVector(fin.conj()), pair)
+    if b > NEGATIVITY_CAP:
         raise NegativeMassOverflow(
-            f"sampling cost {b} exceeds the cap {b_cap}; the chain is too negative"
+            f"sampling cost {b} exceeds the cap {NEGATIVITY_CAP}; the chain is too negative"
         )
     report = _estimate(sigma, op, b, epsilon, delta, seed, workers, "stochastic")
     return StochasticReport(

@@ -59,10 +59,6 @@ class InvalidWeights(PathmcError):
     """Mixture weights are negative, unnormalised, or starve a live term."""
 
 
-class IndexMapInconsistent(PathmcError):
-    """A block-diagonal index map is not a bijection onto the block layout."""
-
-
 class NotNormalized(PathmcError):
     """A state vector or factor violates its required normalisation."""
 

@@ -136,7 +136,7 @@ def as_complex_matrix(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise InvalidParameter("matrix contains non-finite entries")
     return arr
 
@@ -286,21 +286,26 @@ def generalized_singular_vectors(b, pair: NormPair) -> PositiveVectorPair:
     return PositiveVectorPair(u=u, v=v, norm_estimate=norm)
 
 
-def exact_oracle(sigma, ops, cap: int = ORACLE_CAP) -> complex:
+def require_dense(dim: int) -> None:
+    """Refuse a dimension above the dense cap, before anything is densified."""
+    if dim > ORACLE_CAP:
+        raise OracleCapExceeded(f"dimension {dim} above the dense cap of {ORACLE_CAP}")
+
+
+def exact_oracle(sigma, ops) -> complex:
     """Dense reference value of ``Tr{A1 A2 ... AS sigma}``.
 
     ``ops`` is the factor list in written order; ``sigma`` closes the chain,
     so its column index meets the first factor and its row index the last.
-    The product is accumulated right to left. Any dimension above ``cap``
-    raises :class:`OracleCapExceeded`.
+    The product is accumulated right to left. Any dimension above
+    ``ORACLE_CAP`` raises :class:`OracleCapExceeded`.
     """
     sigma = as_complex_matrix(sigma)
     mats = [as_complex_matrix(a) for a in ops]
     dims = set(sigma.shape)
     for a in mats:
         dims |= set(a.shape)
-    if max(dims, default=0) > cap:
-        raise OracleCapExceeded(f"dimension above the dense cap of {cap}")
+    require_dense(max(dims))
     inner = sigma.shape[1]
     for s, a in enumerate(mats):
         if a.shape[1] != (mats[s + 1].shape[0] if s + 1 < len(mats) else sigma.shape[0]):
@@ -317,7 +322,7 @@ def exact_oracle(sigma, ops, cap: int = ORACLE_CAP) -> complex:
     return complex(np.trace(acc))
 
 
-def dense_exp(a, cap: int = ORACLE_CAP) -> np.ndarray:
+def dense_exp(a) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a truncated series.
 
     The scaled matrix has norm at most one half, where the Taylor series
@@ -327,8 +332,7 @@ def dense_exp(a, cap: int = ORACLE_CAP) -> np.ndarray:
     mat = as_complex_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"matrix exponential needs a square input, got {mat.shape}")
-    if mat.shape[0] > cap:
-        raise OracleCapExceeded(f"dimension above the dense cap of {cap}")
+    require_dense(mat.shape[0])
     norm = float(np.max(np.abs(mat).sum(axis=1))) if mat.size else 0.0
     squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
     scaled = mat / (2.0 ** squarings)

@@ -17,6 +17,7 @@ decomposition, the transition laws, and the bound at small dimensions.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple
@@ -26,7 +27,6 @@ import numpy as np
 from .errors import (
     DeadColumn,
     DeadRow,
-    IndexMapInconsistent,
     InvalidParameter,
     InvalidWeights,
     NonUnitPhase,
@@ -410,18 +410,9 @@ def permutation(perm, phases=None, pair: NormPair = NormPair()) -> PhasedPermuta
     return PhasedPermutation(perm, phases, pair)
 
 
-def diagonal_unitary(values, dim: int | None = None,
-                     pair: NormPair = NormPair()) -> PhasedPermutation:
-    """Diagonal matrix of unit-modulus values, given as a sequence or as a
-    function of the index (then ``dim`` is required)."""
-    if callable(values):
-        if dim is None:
-            raise InvalidParameter("a value function needs an explicit dim")
-        values = [values(m) for m in range(dim)]
-    else:
-        values = list(values)
-        if dim is not None and dim != len(values):
-            raise InvalidParameter("dim disagrees with the number of values")
+def diagonal_unitary(values, pair: NormPair = NormPair()) -> PhasedPermutation:
+    """Diagonal matrix of a sequence of unit-modulus values."""
+    values = list(values)
     return PhasedPermutation(range(len(values)), values, pair, structure=("diagonal",))
 
 
@@ -1053,89 +1044,59 @@ def exp_op(inner: PathOperator) -> ExpOp:
 
 
 class BlockDiagonal(PathOperator):
-    """A direct sum of blocks with user-controlled index placement.
-
-    ``row_map`` assigns every global row a (block, local row) pair and must
-    hit each block's local rows exactly once; ``col_map`` likewise. Both
-    default to contiguous layout. Transitions never leave the block of the
-    incoming index, so the certified bound is the largest block bound.
+    """A direct sum of blocks laid out contiguously: block r holds the
+    global rows (columns) that follow those of blocks 0..r-1. Transitions
+    never leave the block of the incoming index, so the certified bound is
+    the largest block bound.
     """
 
-    def __init__(self, blocks, row_map=None, col_map=None):
+    def __init__(self, blocks):
         blocks = list(blocks)
         if not blocks:
             raise InvalidParameter("need at least one block")
         self.pair = _require_same_pair(blocks)
         self.blocks = blocks
-        self._row_map, self._row_unmap = self._layout(
-            [b.rows for b in blocks], row_map, "row")
-        self._col_map, self._col_unmap = self._layout(
-            [b.cols for b in blocks], col_map, "col")
+        self._row_map, self._row_start = self._layout([b.rows for b in blocks])
+        self._col_map, self._col_start = self._layout([b.cols for b in blocks])
         self.rows = len(self._row_map)
         self.cols = len(self._col_map)
         self.bound = max(b.bound for b in blocks)
 
     @staticmethod
-    def _layout(sizes, mapping, what):
-        total = sum(sizes)
-        if mapping is None:
-            mapping = []
-            for r, size in enumerate(sizes):
-                mapping.extend((r, i) for i in range(size))
-        else:
-            mapping = [(int(r), int(i)) for r, i in mapping]
-        if len(mapping) != total:
-            raise IndexMapInconsistent(
-                f"{what} map covers {len(mapping)} indices, blocks need {total}"
-            )
-        unmap = [[None] * size for size in sizes]
-        for g, (r, i) in enumerate(mapping):
-            if not (0 <= r < len(sizes)) or not (0 <= i < sizes[r]):
-                raise IndexMapInconsistent(f"{what} map points outside the blocks: ({r}, {i})")
-            if unmap[r][i] is not None:
-                raise IndexMapInconsistent(f"{what} map hits block {r} index {i} twice")
-            unmap[r][i] = g
-        return mapping, unmap
+    def _layout(sizes):
+        """The (block, local index) of every global index, and the first
+        global index of every block."""
+        mapping = [(r, i) for r, size in enumerate(sizes) for i in range(size)]
+        return mapping, list(itertools.accumulate(sizes[:-1], initial=0))
 
     def sample_forward(self, m, rng):
         r, i = self._row_map[m]
         t = self.blocks[r].sample_forward(i, rng)
-        return Transition(self._col_unmap[r][t.index], t.tag, t.ratio_p, t.ratio_q)
+        return Transition(self._col_start[r] + t.index, t.tag, t.ratio_p, t.ratio_q)
 
     def sample_backward(self, n, rng):
         r, j = self._col_map[n]
         t = self.blocks[r].sample_backward(j, rng)
-        return Transition(self._row_unmap[r][t.index], t.tag, t.ratio_p, t.ratio_q)
+        return Transition(self._row_start[r] + t.index, t.tag, t.ratio_p, t.ratio_q)
 
     def entries(self):
-        for r, block in enumerate(self.blocks):
-            row_unmap = self._row_unmap[r]
-            col_unmap = self._col_unmap[r]
+        for block, row0, col0 in zip(self.blocks, self._row_start, self._col_start):
             for e in block.entries():
-                yield SupportEntry(row_unmap[e.row], col_unmap[e.col], e.tag,
+                yield SupportEntry(row0 + e.row, col0 + e.col, e.tag,
                                    e.alpha, e.prob_p, e.prob_q)
 
     def _flipped(self, conjugate):
-        return BlockDiagonal([b._flipped(conjugate) for b in self.blocks],
-                             self._col_map, self._row_map)
+        return BlockDiagonal([b._flipped(conjugate) for b in self.blocks])
 
 
-def block_diagonal(blocks, row_map=None, col_map=None) -> BlockDiagonal:
-    return BlockDiagonal(blocks, row_map, col_map)
+def block_diagonal(blocks) -> BlockDiagonal:
+    return BlockDiagonal(blocks)
 
 
-def controlled(family, count: int | None = None) -> BlockDiagonal:
-    """``sum_r |r><r| (x) A_r`` for a family of same-size square blocks.
-
-    ``family`` is either a list of operators or a function of the control
-    value (then ``count`` is required). The global index is r * N + i.
-    """
-    if callable(family):
-        if count is None:
-            raise InvalidParameter("a family function needs an explicit count")
-        blocks = [family(r) for r in range(count)]
-    else:
-        blocks = list(family)
+def controlled(blocks) -> BlockDiagonal:
+    """``sum_r |r><r| (x) A_r`` for a list of same-size square blocks. The
+    global index is r * N + i."""
+    blocks = list(blocks)
     if not blocks:
         raise InvalidParameter("empty control family")
     dims = {(b.rows, b.cols) for b in blocks}

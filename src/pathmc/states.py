@@ -169,11 +169,7 @@ class PhaseState(SampleableState):
     states cheap to sample regardless of the phase profile.
     """
 
-    def __init__(self, thetas, dim: int | None = None):
-        if callable(thetas):
-            if dim is None:
-                raise InvalidParameter("a phase function needs an explicit dim")
-            thetas = map(thetas, range(dim))
+    def __init__(self, thetas):
         try:
             self._theta = list(map(float, thetas))
             # a finite sum means finite angles, and costs a quarter of the
@@ -184,8 +180,6 @@ class PhaseState(SampleableState):
             finite = False
         if not finite:
             raise InvalidParameter("phase state has a non-finite angle")
-        if dim is not None and dim != len(self._theta):
-            raise InvalidParameter("dim disagrees with the number of phases")
         self.dim = len(self._theta)
         if self.dim == 0:
             raise InvalidParameter("empty phase state")
@@ -222,8 +216,8 @@ def product_state(factors) -> ProductState:
     return ProductState(factors)
 
 
-def phase_state(thetas, dim: int | None = None) -> PhaseState:
-    return PhaseState(thetas, dim)
+def phase_state(thetas) -> PhaseState:
+    return PhaseState(thetas)
 
 
 class DenseVector(SampleableState):
@@ -307,11 +301,7 @@ class ChainEndpoint:
     def entries(self) -> Iterator[SupportEntry]:
         raise NotImplementedError
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for e in self.entries():
-            out[e.row, e.col] += e.alpha
-        return out
+    dense = PathOperator.dense
 
 
 class Dyad(ChainEndpoint):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BELL = str(FIXTURES / "bell_pair.json")
 GROVER = str(FIXTURES / "grover_iterate.json")
 MARKOV = str(FIXTURES / "markov_chain.json")
+STOCHASTIC_KINDS = str(FIXTURES / "stochastic_kinds.json")
 
 REPORT_KEYS = ["estimate_re", "estimate_im", "K", "b", "epsilon", "delta",
                "seed", "workers", "elapsed_s", "method"]
@@ -159,6 +161,102 @@ def test_stochastic_exact_and_imax(capsys):
     assert doc["chain"] == 1.0
 
 
+def test_stochastic_chain_of_structured_kinds(capsys):
+    # a permutation, an embedded column-stochastic dense map (rowcol by
+    # default at p = inf), a sparse map with one negative entry and a Pauli
+    # flip, applied in file order
+    perm = np.zeros((4, 4))
+    perm[range(4), [1, 2, 3, 0]] = 1.0
+    embed = np.kron([[0.9, 0.3], [0.1, 0.7]], np.eye(2))
+    negative = np.eye(4)
+    negative[:2, 0] = [1.2, -0.2]
+    flip = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+    rho = np.array([0.1, 0.2, 0.3, 0.4])
+    f = np.array([1.0, 2.0, -0.5, 0.5])
+    want = float(f @ flip @ negative @ embed @ perm @ rho)
+
+    code, out, _ = run_cli(capsys, "exact", STOCHASTIC_KINDS)
+    assert code == 0
+    exact = json.loads(out)["expectation"]
+    assert exact == pytest.approx([want, 0.0], abs=1e-12)
+
+    code, out, _ = run_cli(capsys, "imax", STOCHASTIC_KINDS)
+    assert code == 0
+    assert json.loads(out)["operators"] == [1.0, 1.0, 1.4, 1.0]
+
+    code, out, _ = run_cli(capsys, "estimate", STOCHASTIC_KINDS, "--epsilon", "0.05",
+                           "--seed", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mana"] == [0.0, 0.0, math.log(1.4), 0.0]
+    assert doc["b"] == pytest.approx(2.8)
+    assert abs(doc["estimate_re"] - exact[0]) <= 0.05
+
+
+def _stochastic_with(op, state=None):
+    doc = json.loads(Path(STOCHASTIC_KINDS).read_text())
+    doc["operators"] = [op]
+    if state is not None:
+        doc["state"] = state
+    return doc
+
+
+_HALVES = [[0.5, 0.5], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("doc, command, want", [
+    # the Haar transform and the optimal law need 1 < p < inf, and a
+    # density endpoint is no vector
+    (_stochastic_with({"kind": "haar", "bits": 2}), "exact", 2),
+    (_stochastic_with({"kind": "dense", "matrix": [[1.0, 0.0, 0.0, 0.0]] * 4,
+                       "law": "optimal"}), "estimate", 2),
+    (_stochastic_with({"kind": "tensor-embed", "left": 2, "right": 1,
+                       "inner": {"kind": "dense", "matrix": _HALVES, "law": "optimal"}}),
+     "exact", 2),
+    (_stochastic_with({"kind": "pauli", "letters": "XI"},
+                      {"kind": "density", "matrix": np.eye(4).tolist()}), "exact", 2),
+    # a factor without weight has no finite mana
+    (_stochastic_with({"kind": "scaled", "scale": 0, "inner": {"kind": "pauli",
+                                                               "letters": "XI"}}),
+     "estimate", 3),
+], ids=["haar", "optimal", "embedded-optimal", "density", "scaled-zero"])
+def test_stochastic_refusals(capsys, tmp_path, doc, command, want):
+    code, out, err = run_cli(capsys, command, write(tmp_path, doc))
+    assert (code, out) == (want, "")
+    assert err.startswith("pathmc: ")
+
+
+def test_dense_cap_is_checked_before_densifying(capsys, tmp_path):
+    # each component of either file has a closed form, but its dense matrix
+    # has millions of entries
+    circuit = {"schema_version": 1, "n_levels": 4096, "p": 2,
+               "state": {"kind": "basis", "index": 0},
+               "operators": [{"kind": "hadamard", "qubits": 12}],
+               "measurement": {"kind": "pauli", "letters": "Z" * 12}}
+    chain = {"schema_version": 1, "n_levels": 2048, "p": "inf",
+             "state": {"kind": "vector", "amplitudes": [1.0] + [0.0] * 2047},
+             "operators": [{"kind": "hadamard", "qubits": 11}],
+             "measurement": {"kind": "vector", "amplitudes": [1.0] * 2048}}
+    for doc in (circuit, chain):
+        path = write(tmp_path, doc)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "exact", path)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (3, "")
+        assert f"dimension {doc['n_levels']} above the dense cap of 1024" in err
+
+
+def test_path_count_cap_refuses_before_sampling(capsys, tmp_path):
+    # b is about 8.5e37, so K is about 1.3e53
+    doc = _circuit({"kind": "vector", "amplitudes": [-2 ** 63, 0]}, [], _Z)
+    path = write(tmp_path, doc)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "estimate", path, "--epsilon", "1e12")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert "K = 1268" in err and "above the path-count cap of 1000000000" in err
+
+
 def test_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(Path(MARKOV).read_text()))
     code, out, _ = run_cli(capsys, "exact", "-")
@@ -220,7 +318,7 @@ def test_schema_rejections(capsys, tmp_path):
 
     doc = valid_doc()
     doc["state"] = {"kind": "density", "matrix": [[1, 0], [0, 0]], "path": "x.npy"}
-    broken.append((doc, "exactly one"))
+    broken.append((doc, "unknown keys"))
 
     doc = valid_doc()
     doc["measurement"] = {"kind": "vector", "amplitudes": [1, 0]}

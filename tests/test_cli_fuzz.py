@@ -6,8 +6,8 @@ of the wrong type or unknown kinds. Whatever the file says, the command
 must exit 0, 2 or 3 without an exception escaping, and on exit 0 print
 strict JSON, with no NaN or Infinity.
 
-``estimate`` stays out: its path count K is uncapped, so a mutated file can
-ask for a run that never ends.
+``estimate`` stays out: its path count K is capped at 10**9, but a mutated
+file can still ask for a run that takes hours.
 """
 
 import contextlib
@@ -50,12 +50,14 @@ def _with_state(state):
 
 BASES = [json.loads((FIXTURES / name).read_text()) for name in (
     "bell_pair.json", "grover_iterate.json", "markov_chain.json",
-    "dense_laws.json", "flip_kinds.json")]
-# each operator of flip_kinds.json alone in a short file too, so that
-# mutations reach its fields often
+    "dense_laws.json", "flip_kinds.json", "stochastic_kinds.json")]
+FLIPS, CHAIN = BASES[-2:]
+# each operator of flip_kinds.json and of the stochastic chain alone in a
+# short file too, so that mutations reach its fields often
 BASES += [{"schema_version": 1, "n_levels": 8, "p": 2, "state": {"kind": "basis", "index": 3},
            "operators": [op], "measurement": {"kind": "pauli", "letters": "ZIZ"}}
-          for op in BASES[-1]["operators"]]
+          for op in FLIPS["operators"]]
+BASES += [dict(CHAIN, operators=[op]) for op in CHAIN["operators"]]
 BASES += [_with_state(s) for s in STATES]
 
 ODD = [math.nan, math.inf, -math.inf, 2 ** 63, -2 ** 63, 10 ** 400, -10 ** 400,

@@ -28,6 +28,7 @@ from pathmc import (
     pauli_string,
     permutation,
     sample_count,
+    scale,
     stochastic_mode_estimate,
     uniform_state,
     walsh_hadamard,
@@ -248,8 +249,10 @@ def test_decoherence_matrix_identities():
     assert diag.abs_sum == pytest.approx(diag.interference, abs=1e-9)
     assert diag.expectation == pytest.approx(expectation_exact(circuit))
     assert diag.max_offdiagonal > 0.0
+    # 2**13 histories, above the cap of 4096
+    long = Circuit(circuit.initial, [walsh_hadamard(1)] * 12, circuit.measurement)
     with pytest.raises(HistoryCapExceeded):
-        decoherence_matrix(circuit, cap=7)
+        decoherence_matrix(long)
 
 
 def test_interference_state_exact():
@@ -350,11 +353,26 @@ def test_stochastic_mode_dead_rows_and_columns():
                                  epsilon=0.1, delta=0.1)
 
 
+def test_stochastic_mode_takes_operators_and_matrices():
+    pair = NormPair.from_p(math.inf)
+    m = np.array([[0.5, 0.25], [0.5, 0.75]])
+    rho = np.array([0.25, 0.75])
+    f = np.array([1.0, 2.0])
+    out = stochastic_mode_estimate(rho, [permutation([1, 0], pair=pair), m], f,
+                                   epsilon=0.05, delta=0.05, seed=3)
+    assert out.mana == [0.0, 0.0]
+    assert abs(out.estimate - float(f @ m @ rho[::-1])) <= 0.05
+    # a factor without weight is refused before its log(0) mana
+    with pytest.raises(InvalidParameter, match="bound 0"):
+        stochastic_mode_estimate(rho, [scale(0.0, permutation([1, 0], pair=pair))], f,
+                                 epsilon=0.05, delta=0.05)
+
+
 def test_stochastic_mode_refuses_runaway_cost():
     m = np.array([[-4.0, 5.0], [5.0, -4.0]])
     with pytest.raises(NegativeMassOverflow):
         stochastic_mode_estimate([0.5, 0.5], [m] * 8, [1.0, 1.0],
-                                 epsilon=0.1, delta=0.1, b_cap=1e4)
+                                 epsilon=0.1, delta=0.1)
     with pytest.raises(DimensionMismatch):
         stochastic_mode_estimate([0.5, 0.5], [np.ones((2, 3))], [1.0, 1.0],
                                  epsilon=0.1, delta=0.1)

@@ -167,7 +167,7 @@ def test_exact_oracle_shape_and_cap():
     with pytest.raises(DimensionMismatch):
         exact_oracle(np.eye(2), [np.ones((2, 3))])
     with pytest.raises(OracleCapExceeded):
-        exact_oracle(np.eye(3), [np.ones((3, 3))], cap=2)
+        exact_oracle(np.eye(1025), [np.ones((1025, 1025))])
 
 
 def test_dense_exp_against_series():

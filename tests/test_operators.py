@@ -35,7 +35,6 @@ from pathmc import operators
 from pathmc.errors import (
     DeadColumn,
     DeadRow,
-    IndexMapInconsistent,
     InvalidParameter,
     InvalidWeights,
     NonUnitPhase,
@@ -85,12 +84,6 @@ def test_diagonal_unitary():
     vals = [1.0, -1.0, 1j, np.exp(0.3j)]
     op = diagonal_unitary(vals)
     assert_operator_certificate(op, np.diag(vals))
-    by_fn = diagonal_unitary(lambda m: np.exp(1j * m), dim=3)
-    assert np.allclose(by_fn.dense(), np.diag(np.exp(1j * np.arange(3))))
-    with pytest.raises(InvalidParameter):
-        diagonal_unitary(lambda m: 1.0)
-    with pytest.raises(InvalidParameter):
-        diagonal_unitary([1.0, 1.0], dim=3)
 
 
 @pytest.mark.parametrize(
@@ -312,8 +305,7 @@ FLIP_CASES = {
         [from_rowcol(_RECT, pair), pauli_string("YX", pair)]), (2.0, 3.0)),
     operators.ExpOp: (lambda pair: exp_op(scale(-0.4j, pauli_string("YX", pair))), (2.0, 3.0)),
     operators.BlockDiagonal: (lambda pair: block_diagonal(
-        [pauli_string("Y", pair), from_rowcol(_RECT, pair)],
-        row_map=[(1, 0), (0, 0), (1, 1), (0, 1), (1, 2)]), (2.0, 3.0)),
+        [pauli_string("Y", pair), from_rowcol(_RECT, pair)]), (2.0, 3.0)),
     operators.TensorEmbed: (lambda pair: tensor_embed(from_dense_optimal(_RECT, pair), 2, 1),
                             (2.0, 3.0)),
     StateAsOperator: (lambda pair: projector_family([1, 0], 2, 3, pair), (2.0, 3.0)),
@@ -586,32 +578,11 @@ def test_block_diagonal_default_layout():
     assert_operator_certificate(op, ref)
 
 
-def test_block_diagonal_custom_maps():
-    blocks = [pauli_string("X"), identity_op(2)]
-    # interleave the two blocks on even/odd global indices
-    mapping = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    op = block_diagonal(blocks, row_map=mapping, col_map=mapping)
-    ref = np.zeros((4, 4), dtype=complex)
-    ref[0, 2] = ref[2, 0] = 1.0
-    ref[1, 1] = ref[3, 3] = 1.0
-    assert_operator_certificate(op, ref)
-    with pytest.raises(IndexMapInconsistent):
-        block_diagonal(blocks, row_map=[(0, 0), (0, 0), (0, 1), (1, 1)])
-    with pytest.raises(IndexMapInconsistent):
-        block_diagonal(blocks, row_map=[(0, 0), (2, 0), (0, 1), (1, 1)])
-    with pytest.raises(IndexMapInconsistent):
-        block_diagonal(blocks, row_map=[(0, 0), (1, 0), (0, 1)])
-
-
 def test_controlled_family():
     op = controlled([identity_op(2), pauli_string("X")])
     ref = np.eye(4, dtype=complex)
     ref[2:, 2:] = X
     assert_operator_certificate(op, ref)
-    by_fn = controlled(lambda r: diagonal_unitary([1.0, np.exp(1j * r)]), count=3)
-    assert by_fn.rows == 6
-    with pytest.raises(InvalidParameter):
-        controlled(lambda r: identity_op(2))
     with pytest.raises(ShapeMismatch):
         controlled([identity_op(2), identity_op(3)])
 

@@ -1,10 +1,11 @@
 """Exact pins of ``pathmc estimate`` reports.
 
 Each case runs the CLI on a fixture (``dense_laws.json`` at two exponent
-pairs, the three loadable fixtures and ``flip_kinds.json``, whose estimate
-samples the adjoint of one unitary of every kind) at two seeds and two
-worker counts, and compares every report key except ``elapsed_s`` with
-``fixtures/pinned_reports.json`` exactly. A change that is meant to move
+pairs, the three loadable fixtures, ``flip_kinds.json``, whose estimate
+samples the adjoint of one unitary of every kind, and
+``stochastic_kinds.json``, a stochastic chain of structured kinds) at two
+seeds and two worker counts, and compares every report key except
+``elapsed_s`` with ``fixtures/pinned_reports.json`` exactly. A change that is meant to move
 these values regenerates the pins with
 
     PYTHONPATH=src python tests/test_pinned_reports.py
@@ -34,6 +35,7 @@ FILES = [
     ("grover_iterate.json", None, 2.0, 0.05),
     ("markov_chain.json", None, 0.1, 0.05),
     ("flip_kinds.json", None, 100_000.0, 0.05),
+    ("stochastic_kinds.json", None, 0.47, 0.05),
 ]
 SEEDS = (1, 2)
 WORKERS = (1, 3)

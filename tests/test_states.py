@@ -97,15 +97,9 @@ def test_phase_state():
     assert s.pnorm(math.inf) == pytest.approx(0.5)
     assert s.law_prob(0, 1.0) == pytest.approx(0.25)
     check_state_laws(s, draws=8000)
-    by_fn = phase_state(lambda k: 0.1 * k, dim=3)
-    assert by_fn.amplitude(2) == pytest.approx(np.exp(0.2j) / math.sqrt(3.0))
-    with pytest.raises(InvalidParameter):
-        phase_state(lambda k: 0.0)
     for bad in (math.nan, math.inf, 10 ** 400):
         with pytest.raises(InvalidParameter, match="non-finite"):
             phase_state([0.0, bad])
-        with pytest.raises(InvalidParameter, match="non-finite"):
-            phase_state(lambda k: bad, dim=2)
 
 
 def test_uniform_state():
