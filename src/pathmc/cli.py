@@ -58,7 +58,7 @@ from .states import (
     PhaseState,
     ProductState,
     SampleableState,
-    StateAsOperator,
+    StateAsOperator,  # noqa: F401  (kept importable for callers that wrap endpoints)
     projector_family,
     uniform_state,
 )
@@ -388,7 +388,7 @@ def _build_measurement(spec, dim: int, pair: NormPair, path: str):
     if isinstance(spec, dict) and spec.get("kind") == "state-projector":
         _require_keys(spec, path, ("state",))
         state = _build_state(spec["state"], dim, f"{path}.state")
-        return StateAsOperator(Dyad(ket=state, bra=state, pair=pair))
+        return Dyad(ket=state, bra=state, pair=pair)
     return _build_operator(spec, dim, pair, path)
 
 
@@ -455,7 +455,7 @@ def load_document(doc):
             _fail("$.measurement",
                   f"measurement is {measurement.rows}x{measurement.cols}, "
                   f"circuit needs {dim}x{dim}")
-        return Circuit(state, ops, measurement, pair)
+        return Circuit(state, ops, measurement)
     except SchemaError:
         raise
     except PathmcError as exc:
@@ -564,6 +564,17 @@ def cmd_samples(args) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    """A finite float flag value: NaN or an infinity is malformed input."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathmc",
@@ -575,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="sample a circuit file's expectation")
     est.add_argument("circuit", help="path to a circuit JSON file ('-' for stdin)")
-    est.add_argument("--epsilon", type=float, default=0.05,
+    est.add_argument("--epsilon", type=_finite, default=0.05,
                      help="additive accuracy target (default 0.05)")
-    est.add_argument("--delta", type=float, default=0.05,
+    est.add_argument("--delta", type=_finite, default=0.05,
                      help="failure probability (default 0.05)")
     est.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     est.add_argument("--workers", type=int, default=1,
@@ -593,9 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     ima.set_defaults(func=cmd_imax)
 
     sam = sub.add_parser("samples", help="print the path count for given targets")
-    sam.add_argument("--epsilon", type=float, required=True)
-    sam.add_argument("--delta", type=float, required=True)
-    sam.add_argument("--bound", type=float, required=True)
+    sam.add_argument("--epsilon", type=_finite, required=True)
+    sam.add_argument("--delta", type=_finite, required=True)
+    sam.add_argument("--bound", type=_finite, required=True)
     sam.set_defaults(func=cmd_samples)
 
     return parser
@@ -605,7 +616,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite intermediate ends in a typed refusal or in
+        # NonFiniteResult, so numpy's floating-point warnings carry nothing
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SchemaError as exc:
         print(f"pathmc: {exc}", file=sys.stderr)
         return 2

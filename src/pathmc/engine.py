@@ -54,12 +54,12 @@ NEGATIVITY_CAP = 1e6
 @dataclass
 class Circuit:
     """An initial endpoint, a tower of square operators applied in order,
-    and a measurement operator, all on one dimension and exponent pair."""
+    and a measurement operator, all on one dimension and exponent pair,
+    which the components fix."""
 
     initial: ChainEndpoint
     unitaries: list
     measurement: PathOperator
-    pair: NormPair = NormPair()
 
     def __post_init__(self):
         dim = self.initial.rows
@@ -75,7 +75,7 @@ class Circuit:
             raise DimensionMismatch(
                 f"measurement is {m.rows}x{m.cols}, circuit dimension is {dim}"
             )
-        pairs = {self.initial.pair, self.pair, m.pair} | {u.pair for u in self.unitaries}
+        pairs = {self.initial.pair, m.pair} | {u.pair for u in self.unitaries}
         if len(pairs) != 1:
             raise InvalidParameter(f"circuit components disagree on the exponent pair: {pairs}")
 
@@ -246,10 +246,12 @@ def _amplitude_chain(ket: SampleableState, factors: list, bra: SampleableState,
 
 def estimate_amplitude(initial: SampleableState, unitaries: Sequence[PathOperator],
                        final: SampleableState, epsilon: float, delta: float,
-                       seed: int = 0, workers: int = 1,
-                       pair: NormPair = NormPair()) -> AmplitudeReport:
-    """Estimate ``<final| UT ... U1 |initial>`` through a single dyad trace."""
-    sigma, op, b = _amplitude_chain(initial, list(unitaries), final, pair)
+                       seed: int = 0, workers: int = 1) -> AmplitudeReport:
+    """Estimate ``<final| UT ... U1 |initial>`` through a single dyad trace,
+    at the unitaries' exponent pair (the balanced pair for an empty tower)."""
+    unitaries = list(unitaries)
+    pair = unitaries[0].pair if unitaries else NormPair()
+    sigma, op, b = _amplitude_chain(initial, unitaries, final, pair)
     report = _estimate(sigma, op, b, epsilon, delta, seed, workers, "amplitude")
     mag = abs(report.estimate)
     return AmplitudeReport(
@@ -263,20 +265,14 @@ def estimate_amplitude(initial: SampleableState, unitaries: Sequence[PathOperato
 # exact references
 
 
-def _dense_of(x) -> np.ndarray:
-    if isinstance(x, (PathOperator, ChainEndpoint)):
-        return x.dense()
-    return np.asarray(x, dtype=complex)
-
-
 def expression_interference(sigma, ops) -> float:
     """Interference of a bare chain: ``Tr{|A1| ... |AS| |sigma|}``.
 
     This prices the chain exactly as written, one factor per operator; use
     :func:`interference_exact` for the conjugated chain of a circuit.
     """
-    abs_sigma = entrywise_abs(_dense_of(sigma))
-    abs_ops = [entrywise_abs(_dense_of(a)) for a in ops]
+    abs_sigma = entrywise_abs(sigma.dense())
+    abs_ops = [entrywise_abs(a.dense()) for a in ops]
     return float(exact_oracle(abs_sigma, abs_ops).real)
 
 
@@ -315,15 +311,19 @@ def exact_references(circuit: Circuit) -> tuple:
     of a circuit, densifying each component once."""
     sigma, units, meas = _densify(circuit)
     return (_expectation(sigma, units, meas), _interference(sigma, units, meas),
-            interference_state_exact(units, sigma))
+            _interference_state(units, sigma))
 
 
-def interference_state_exact(unitaries, initial) -> float:
+def interference_state_exact(unitaries, initial: ChainEndpoint) -> float:
     """State interference after a tower of operators: the circuit
     interference with the measurement replaced by the all-ones-diagonal,
     i.e. ``Tr{C |sigma| C^T}`` with ``C = |UT| ... |U1|``."""
-    mats = [entrywise_abs(_dense_of(u)) for u in unitaries]
-    sigma = entrywise_abs(_dense_of(initial))
+    return _interference_state([u.dense() for u in unitaries], initial.dense())
+
+
+def _interference_state(units, sigma) -> float:
+    mats = [entrywise_abs(u) for u in units]
+    sigma = entrywise_abs(sigma)
     dim = sigma.shape[0]
     chain = np.eye(dim)
     for m in mats:
@@ -345,23 +345,21 @@ _CLOSED_FORMS = {
 }
 
 
-def interference_capacity(target, pair: NormPair = NormPair()) -> float:
+def interference_capacity(target: PathOperator) -> float:
     """The largest interference a single insertion of the operator can
     contribute: the induced q -> q norm of its entrywise magnitudes.
 
-    Operators that declare special structure use exact closed forms (for
-    the balanced pair); everything else is priced densely, subject to the
-    dense cap.
+    Operators that declare special structure use exact closed forms: each
+    such ``|A|`` has every row and column sum equal to one value, which is
+    its induced norm at every q. Everything else is priced densely, subject
+    to the dense cap.
     """
-    if isinstance(target, (PathOperator, ChainEndpoint)):
-        structure = getattr(target, "structure", None)
-        if structure and target.pair.q == 2.0:
-            form = _CLOSED_FORMS.get(structure[0])
-            if form is not None:
-                return form(structure)
-        require_dense(max(target.rows, target.cols))
-        return induced_norm(entrywise_abs(target.dense()), target.pair.q)
-    return induced_norm(entrywise_abs(np.asarray(target, dtype=complex)), pair.q)
+    if target.structure:
+        form = _CLOSED_FORMS.get(target.structure[0])
+        if form is not None:
+            return form(target.structure)
+    require_dense(max(target.rows, target.cols))
+    return induced_norm(entrywise_abs(target.dense()), target.pair.q)
 
 
 @dataclass

@@ -659,8 +659,7 @@ class ShiftOracle(PathOperator):
     exactly once and increments the shared query counter.
     """
 
-    def __init__(self, g, x_size: int, y_size: int, pair: NormPair = NormPair(),
-                 counter: QueryCounter | None = None, negate: bool = False):
+    def __init__(self, g, x_size: int, y_size: int, pair: NormPair = NormPair()):
         if x_size <= 0 or y_size <= 0:
             raise InvalidParameter("oracle needs positive register sizes")
         if callable(g):
@@ -674,12 +673,12 @@ class ShiftOracle(PathOperator):
             self._g = table.__getitem__
         self._x_size = x_size
         self._y_size = y_size
-        self._sign = -1 if negate else 1
+        self._sign = 1
         self.rows = self.cols = x_size * y_size
         self.pair = pair
         self.bound = 1.0
         self.structure = ("oracle",)
-        self.query_counter = counter if counter is not None else QueryCounter()
+        self.query_counter = QueryCounter()
 
     def _eval(self, x: int) -> int:
         self.query_counter.count += 1
@@ -704,14 +703,16 @@ class ShiftOracle(PathOperator):
                 yield SupportEntry(m, n, None, 1.0 + 0j, 1.0, 1.0)
 
     def _flipped(self, conjugate):
-        # a real permutation: both flips are the inverse shift
-        return ShiftOracle(self._g, self._x_size, self._y_size, self.pair,
-                           counter=self.query_counter, negate=self._sign > 0)
+        # a real permutation: both flips are the inverse shift, and they
+        # count their queries with the original
+        flip = ShiftOracle(self._g, self._x_size, self._y_size, self.pair)
+        flip._sign = -self._sign
+        flip.query_counter = self.query_counter
+        return flip
 
 
-def shift_oracle(g, x_size: int, y_size: int, pair: NormPair = NormPair(),
-                 counter: QueryCounter | None = None) -> ShiftOracle:
-    return ShiftOracle(g, x_size, y_size, pair, counter)
+def shift_oracle(g, x_size: int, y_size: int, pair: NormPair = NormPair()) -> ShiftOracle:
+    return ShiftOracle(g, x_size, y_size, pair)
 
 
 def fourier_transform(n_qubits: int, pair: NormPair = NormPair()) -> FlatOperator:

@@ -5,18 +5,17 @@ whose index can be drawn from the ``|psi_i|**p`` law for any exponent. A
 :class:`ChainEndpoint` is a matrix sigma that closes a trace
 ``Tr{A1 ... AS sigma}``: its column index is the head of the chain (where
 forward walks start) and its row index the tail (where backward walks
-start), and it can sample either endpoint unconditionally. Endpoints expose
-the same ratio/enumeration contract as operators, so the adapter
-:class:`StateAsOperator` makes any endpoint usable wherever a
-:class:`PathOperator` is expected, with the same certified bound.
+start), and it can sample either endpoint unconditionally. An endpoint is
+itself a :class:`PathOperator`, the last matrix of the chain: a forward step
+ignores the incoming row and draws the head, a backward step draws the
+tail, with the endpoint's own certified bound. So it serves as a
+measurement or a block wherever an operator is expected.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterator
-
 import numpy as np
 
 from .errors import (
@@ -276,18 +275,16 @@ def dense_vector(amplitudes) -> DenseVector:
 # chain endpoints
 
 
-class ChainEndpoint:
+class ChainEndpoint(PathOperator):
     """A matrix sigma with unconditional endpoint sampling.
 
     ``sample_head`` draws sigma's column index (where forward chain walks
     begin), ``sample_tail`` its row index (where backward walks begin), and
-    ``ratios(row, col)`` reports alpha/P and alpha/Q for the entry.
+    ``ratios(row, col)`` reports alpha/P and alpha/Q for the entry. As an
+    operator, a forward step from any row draws the head and a backward step
+    from any column draws the tail. Its one flip is the adjoint; an endpoint
+    has no transpose.
     """
-
-    rows: int
-    cols: int
-    bound: float
-    pair: NormPair
 
     def sample_head(self, rng) -> int:
         raise NotImplementedError
@@ -298,10 +295,29 @@ class ChainEndpoint:
     def ratios(self, row: int, col: int) -> tuple:
         raise NotImplementedError
 
-    def entries(self) -> Iterator[SupportEntry]:
+    def sample_forward(self, m, rng):
+        col = self.sample_head(rng)
+        rp, rq = self.ratios(m, col)
+        return Transition(col, None, rp, rq)
+
+    def sample_backward(self, n, rng):
+        row = self.sample_tail(rng)
+        rp, rq = self.ratios(row, n)
+        return Transition(row, None, rp, rq)
+
+    def _flipped(self, conjugate):
+        if not conjugate:
+            raise InvalidParameter("an endpoint used as an operator has no transpose")
+        return self._adjoint()
+
+    def _adjoint(self) -> "ChainEndpoint":
         raise NotImplementedError
 
-    dense = PathOperator.dense
+
+def StateAsOperator(state: ChainEndpoint) -> ChainEndpoint:
+    """The endpoint itself, which is already an operator; kept for callers
+    that still wrap one."""
+    return state
 
 
 class Dyad(ChainEndpoint):
@@ -351,7 +367,7 @@ class Dyad(ChainEndpoint):
                 yield SupportEntry(row, col, None, alpha,
                                    self.bra.law_prob(col, p), qq)
 
-    def adjoint(self):
+    def _adjoint(self):
         return Dyad(self.bra, self.ket, self.pair)
 
 
@@ -418,7 +434,7 @@ class DensityEndpoint(ChainEndpoint):
             yield SupportEntry(int(m), int(n), None, alpha,
                                float(self._diag[n]), float(self._diag[m]))
 
-    def adjoint(self):
+    def _adjoint(self):
         return self
 
 
@@ -504,7 +520,7 @@ class LowRankEndpoint(ChainEndpoint):
                 yield SupportEntry(int(m), int(n), None, complex(alpha),
                                    self.head_prob(int(n)), self.tail_prob(int(m)))
 
-    def adjoint(self):
+    def _adjoint(self):
         """``sum_i conj(s_i) conj(u_i) conj(v_i)^T``: its head factors conj(v_i)
         are unit in the p-norm only at the balanced pair."""
         if self.pair.p != self.pair.q:
@@ -515,40 +531,6 @@ class LowRankEndpoint(ChainEndpoint):
 
 def low_rank(terms, pair: NormPair = NormPair()) -> LowRankEndpoint:
     return LowRankEndpoint(terms, pair)
-
-
-class StateAsOperator(PathOperator):
-    """Adapter: a chain endpoint used in operator position.
-
-    Forward transitions ignore the incoming row and draw the endpoint's
-    column law; backward transitions draw the row law. The certified bound
-    is the endpoint's own bound.
-    """
-
-    def __init__(self, state: ChainEndpoint):
-        self._state = state
-        self.rows = state.rows
-        self.cols = state.cols
-        self.pair = state.pair
-        self.bound = state.bound
-
-    def sample_forward(self, m, rng):
-        col = self._state.sample_head(rng)
-        rp, rq = self._state.ratios(m, col)
-        return Transition(col, None, rp, rq)
-
-    def sample_backward(self, n, rng):
-        row = self._state.sample_tail(rng)
-        rp, rq = self._state.ratios(row, n)
-        return Transition(row, None, rp, rq)
-
-    def entries(self):
-        return self._state.entries()
-
-    def _flipped(self, conjugate):
-        if not conjugate:
-            raise InvalidParameter("an endpoint used as an operator has no transpose")
-        return StateAsOperator(self._state.adjoint())
 
 
 def projector_family(table, x_size: int, y_size: int,
@@ -566,7 +548,7 @@ def projector_family(table, x_size: int, y_size: int,
     for g in marks:
         thetas = [-2.0 * math.pi * g * k / y_size for k in range(y_size)]
         phi = PhaseState(thetas)
-        blocks.append(StateAsOperator(Dyad(phi, phi, pair)))
+        blocks.append(Dyad(phi, phi, pair))
     family = BlockDiagonal(blocks)
     family.structure = ("projector_family", x_size, y_size)
     return family

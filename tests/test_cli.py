@@ -246,6 +246,40 @@ def test_dense_cap_is_checked_before_densifying(capsys, tmp_path):
         assert f"dimension {doc['n_levels']} above the dense cap of 1024" in err
 
 
+def test_stochastic_imax_uses_closed_forms_above_the_dense_cap(capsys, tmp_path):
+    # |A| of each structured kind has equal row and column sums, so its
+    # closed form holds at q = 1 and nothing is densified
+    chain = {"schema_version": 1, "n_levels": 2048, "p": "inf",
+             "state": {"kind": "vector", "amplitudes": [1.0] + [0.0] * 2047},
+             "operators": [{"kind": "hadamard", "qubits": 11},
+                           {"kind": "permutation", "perm": list(range(1, 2048)) + [0]}],
+             "measurement": {"kind": "vector", "amplitudes": [1.0] * 2048}}
+    code, out, err = run_cli(capsys, "imax", write(tmp_path, chain))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["operators"] == [45.254833995939045, 1.0]
+
+
+def test_flag_values_non_finite_exit_two_out_of_domain_exit_three(capsys):
+    for argv in (["estimate", BELL, "--epsilon", "nan"],
+                 ["estimate", BELL, "--epsilon", "inf"],
+                 ["estimate", BELL, "--delta", "nan"],
+                 ["samples", "--epsilon", "0.1", "--delta", "0.1", "--bound", "nan"],
+                 ["samples", "--epsilon=-inf", "--delta", "0.1", "--bound", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "expected a finite number" in capsys.readouterr().err
+    for argv in (["estimate", BELL, "--epsilon", "0"],
+                 ["estimate", BELL, "--epsilon=-0.1"],
+                 ["estimate", BELL, "--delta", "4"],
+                 ["estimate", BELL, "--delta", "0"],
+                 ["estimate", BELL, "--workers", "0"],
+                 ["samples", "--epsilon", "0.1", "--delta", "0.1", "--bound", "-1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("pathmc: ")
+
+
 def test_path_count_cap_refuses_before_sampling(capsys, tmp_path):
     # b is about 8.5e37, so K is about 1.3e53
     doc = _circuit({"kind": "vector", "amplitudes": [-2 ** 63, 0]}, [], _Z)

@@ -18,6 +18,7 @@ import math
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -53,10 +54,12 @@ BASES = [json.loads((FIXTURES / name).read_text()) for name in (
     "dense_laws.json", "flip_kinds.json", "stochastic_kinds.json")]
 FLIPS, CHAIN = BASES[-2:]
 # each operator of flip_kinds.json and of the stochastic chain alone in a
-# short file too, so that mutations reach its fields often
-BASES += [{"schema_version": 1, "n_levels": 8, "p": 2, "state": {"kind": "basis", "index": 3},
+# short file too, so that mutations reach its fields often; the flip kinds
+# also at p = 3 and p = inf, where closed forms price them and a kind the
+# pair refuses exits 2
+BASES += [{"schema_version": 1, "n_levels": 8, "p": p, "state": {"kind": "basis", "index": 3},
            "operators": [op], "measurement": {"kind": "pauli", "letters": "ZIZ"}}
-          for op in FLIPS["operators"]]
+          for p in (2, 3, "inf") for op in FLIPS["operators"]]
 BASES += [dict(CHAIN, operators=[op]) for op in CHAIN["operators"]]
 BASES += [_with_state(s) for s in STATES]
 
@@ -107,6 +110,7 @@ def _strict(constant):
     raise ValueError(f"non-finite JSON constant {constant}")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=2500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_documents(), st.sampled_from(["exact", "imax"]))

@@ -29,6 +29,7 @@ from pathmc import (
     permutation,
     sample_count,
     scale,
+    shift_oracle,
     stochastic_mode_estimate,
     uniform_state,
     walsh_hadamard,
@@ -49,6 +50,7 @@ from pathmc.errors import (
 )
 from pathmc.linalg import SparseEntries, exact_oracle, induced_norm
 from pathmc.operators import PathOperator, Transition, from_sparse
+from pathmc.states import projector_family
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -217,6 +219,16 @@ def test_estimate_amplitude():
     assert out.report.method == "amplitude"
 
 
+def test_estimate_amplitude_takes_the_unitaries_pair():
+    pair = NormPair.from_p(3.0)
+    unitaries = [fourier_transform(2, pair), diagonal_unitary([1.0, 1j, -1.0, 1j], pair)]
+    initial, final = basis_state(1, 4), dense_vector([0.5, 0.5j, -0.5, 0.5])
+    out = estimate_amplitude(initial, unitaries, final, epsilon=0.1, delta=0.05, seed=3)
+    truth = final.vector().conj() @ unitaries[1].dense() @ unitaries[0].dense() @ initial.vector()
+    assert out.report.b == pytest.approx(final.pnorm(3.0) * 2.0 * initial.pnorm(1.5))
+    assert abs(out.amplitude - truth) <= 0.1
+
+
 def test_estimate_amplitude_empty_chain():
     out = estimate_amplitude(basis_state(1, 3), [], basis_state(1, 3),
                              epsilon=0.5, delta=0.5)
@@ -284,19 +296,26 @@ def test_expression_interference_matches_exhaustive_paths():
 
 
 def test_interference_capacity_closed_forms():
-    cases = [
-        permutation([2, 0, 1]),
-        diagonal_unitary([1.0, -1.0, 1j]),
-        pauli_string("XY"),
-        grover_reflection(2),
-        haar_wavelet(3),
-        fourier_transform(2),
-        walsh_hadamard(3),
-    ]
-    for op in cases:
-        got = interference_capacity(op)
-        dense = induced_norm(np.abs(op.dense()), 2.0)
-        assert got == pytest.approx(dense, abs=1e-9)
+    # every structured |A| has equal row and column sums, so its closed
+    # form is the induced q -> q norm at every pair; Haar exists at (2, 2)
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        pair = NormPair.from_p(p)
+        cases = [
+            permutation([2, 0, 1], [1j, -1.0, 1.0], pair),
+            diagonal_unitary([1.0, -1.0, 1j], pair),
+            pauli_string("XY", pair),
+            shift_oracle([1, 2], 2, 3, pair),
+            projector_family([0, 3, 1], 3, 4, pair),
+        ]
+        for n in range(1, 5):
+            cases += [grover_reflection(n, pair), fourier_transform(n, pair),
+                      walsh_hadamard(n, pair)]
+            if p == 2.0:
+                cases.append(haar_wavelet(n, pair))
+        for op in cases:
+            got = interference_capacity(op)
+            dense = induced_norm(np.abs(op.dense()), pair.q)
+            assert got == pytest.approx(dense, abs=1e-9), (p, op.structure)
     assert interference_capacity(walsh_hadamard(2)) == pytest.approx(2.0)
     assert interference_capacity(grover_reflection(3)) == pytest.approx(3.0 - 4.0 / 8.0)
     assert interference_capacity(haar_wavelet(5)) == pytest.approx(math.sqrt(6.0))
@@ -305,7 +324,6 @@ def test_interference_capacity_closed_forms():
 def test_interference_capacity_dense_fallback_and_cap():
     mat = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert interference_capacity(from_rowcol(mat)) == pytest.approx(induced_norm(mat, 2.0))
-    assert interference_capacity(mat) == pytest.approx(induced_norm(mat, 2.0))
     big = 5000
     entries = SparseEntries(big, big, [(i, i, 1.0) for i in range(big)])
     with pytest.raises(OracleCapExceeded):
@@ -385,7 +403,6 @@ def test_fourier_circuit_away_from_the_balanced_pair():
         dyad(state, state, pair),
         [fourier_transform(2, pair), diagonal_unitary([1.0, 1j, -1.0, 1j], pair=pair)],
         pauli_string("XZ", pair),
-        pair,
     )
     out = estimate_expectation(circuit, epsilon=0.15, delta=0.05, seed=6)
     assert out.b == pytest.approx(4.0)

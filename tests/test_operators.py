@@ -41,8 +41,9 @@ from pathmc.errors import (
     ShapeMismatch,
 )
 from pathmc.linalg import dense_exp, induced_norm
-from pathmc.operators import PathOperator, QueryCounter, adjoint, transpose
-from pathmc.states import StateAsOperator, projector_family
+from pathmc import states
+from pathmc.operators import PathOperator, adjoint, transpose
+from pathmc.states import ChainEndpoint, projector_family
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -227,15 +228,14 @@ def test_shift_oracle_table_and_callable():
 
 
 def test_shift_oracle_counts_queries():
-    counter = QueryCounter()
-    op = shift_oracle([2, 1], 2, 4, counter=counter)
+    op = shift_oracle([2, 1], 2, 4)
     rng = RngStream(0)
     op.sample_forward(3, rng)
     op.sample_forward(6, rng)
-    assert counter.count == 2
+    assert op.query_counter.count == 2
     adj = op.adjoint()
     adj.sample_backward(1, rng)
-    assert counter.count == 3
+    assert op.query_counter.count == 3
     assert np.allclose(adj.dense(), op.dense().conj().T)
 
 
@@ -285,8 +285,8 @@ _RECT = np.array([[1.0, 2.0j, 0.0, -0.5], [0.0, -3.0, 0.5 - 0.5j, 1.0j],
                   [0.25, 0.0, 0.0, 2.0 + 1.0j]])
 
 # One instance of every operator class, built at a pair, and the exponents
-# the class is certified at. StateAsOperator is reached through a projector
-# family, whose blocks it is.
+# the class is certified at. Dyad is reached through a projector family,
+# whose blocks it is; the other endpoints are certified at (2, 2) only.
 FLIP_CASES = {
     operators.DenseOptimal: (lambda pair: from_dense_optimal(_RECT, pair), (2.0, 3.0)),
     operators.RowCol: (lambda pair: from_rowcol(_RECT, pair), (2.0, 3.0)),
@@ -308,7 +308,13 @@ FLIP_CASES = {
         [pauli_string("Y", pair), from_rowcol(_RECT, pair)]), (2.0, 3.0)),
     operators.TensorEmbed: (lambda pair: tensor_embed(from_dense_optimal(_RECT, pair), 2, 1),
                             (2.0, 3.0)),
-    StateAsOperator: (lambda pair: projector_family([1, 0], 2, 3, pair), (2.0, 3.0)),
+    states.Dyad: (lambda pair: projector_family([1, 0], 2, 3, pair), (2.0, 3.0)),
+    states.DensityEndpoint: (lambda pair: states.density(
+        np.array([[0.75, 0.25 - 0.125j], [0.25 + 0.125j, 0.25]]), pair), (2.0,)),
+    states.LowRankEndpoint: (lambda pair: states.low_rank(
+        [(0.5 + 0.5j, np.array([0.6, 0.8j]), np.array([0.8, -0.6j])),
+         (-0.3, np.array([1.0, 1.0]) / math.sqrt(2), np.array([0.28, 0.96]))], pair),
+                             (2.0,)),
 }
 
 
@@ -316,7 +322,7 @@ def test_every_operator_samples_its_own_adjoint():
     classes = [c for c in vars(operators).values()
                if isinstance(c, type) and issubclass(c, PathOperator)
                and c not in (PathOperator, operators._TableOp)]
-    classes.append(StateAsOperator)
+    classes += [states.Dyad, states.DensityEndpoint, states.LowRankEndpoint]
     assert set(FLIP_CASES) == set(classes)
     for cls in classes:
         # one flip per class, never the base class's refusal; adjoint() and
@@ -343,7 +349,7 @@ def test_flips_are_the_adjoint_and_the_transpose(cls, p):
     assert adj.pair == op.pair
     assert np.allclose(adj.dense(), ref.conj().T, atol=1e-12)
     assert_operator_certificate(adj, ref.conj().T, draws=1000, full_law=cls is not operators.ExpOp)
-    if cls is StateAsOperator:
+    if issubclass(cls, ChainEndpoint):
         with pytest.raises(InvalidParameter):
             op.transpose()
         return
