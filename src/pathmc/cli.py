@@ -5,8 +5,9 @@ rejected with a message naming the offending location, as are non-finite
 numbers and components larger than the circuit. Exit code 2 means the file
 or the arguments are malformed, exit code 3 means the computation itself
 refused (caps, negativity overflow, certification failures at sample time,
-a non-finite result). Reports are printed as JSON with a fixed key order so
-that repeated runs are byte-identical apart from the elapsed time.
+a non-finite result) or ran out of memory. Reports are printed as JSON with
+a fixed key order so that repeated runs are byte-identical apart from the
+elapsed time.
 """
 
 from __future__ import annotations
@@ -625,6 +626,9 @@ def main(argv=None) -> int:
         return 2
     except PathmcError as exc:
         print(f"pathmc: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("pathmc: the computation ran out of memory", file=sys.stderr)
         return 3
 
 

@@ -17,8 +17,10 @@ decomposition, the transition laws, and the bound at small dimensions.
 from __future__ import annotations
 
 import cmath
+import copy
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple
 
@@ -351,128 +353,122 @@ def from_sparse(entries: SparseEntries, pair: NormPair = NormPair()) -> RowCol:
 
 
 class PhasedPermutation(PathOperator):
-    """A permutation matrix with unit-modulus phases: row m carries its
-    whole weight at column perm[m]."""
+    """One unit-modulus entry in every row and every column, given by two
+    closed-form maps: ``forward(m)`` is the column and phase of row m's
+    entry, ``backward(n)`` the row and phase of column n's.
 
-    def __init__(self, perm, phases=None, pair: NormPair = NormPair(),
-                 structure: tuple = ("permutation",)):
-        perm = [int(x) for x in perm]
-        dim = len(perm)
-        if dim == 0:
-            raise InvalidParameter("empty permutation")
-        if sorted(perm) != list(range(dim)):
-            raise InvalidParameter("perm is not a bijection on 0..dim-1")
-        if phases is None:
-            phases = [1.0 + 0.0j] * dim
-        phases = [complex(x) for x in phases]
-        if len(phases) != dim:
-            raise InvalidParameter("need one phase per index")
-        for ph in phases:
-            # written so that a NaN phase fails it
-            if not abs(abs(ph) - 1.0) <= _PHASE_TOL:
-                raise NonUnitPhase(f"phase {ph} is off the unit circle")
-        inv = [0] * dim
-        for m, n in enumerate(perm):
-            inv[n] = m
-        self._perm = perm
-        self._inv = inv
-        self._phases = phases
+    Both laws are deterministic, so both ratios are the phase and the bound
+    is 1 at every exponent pair. The maps hold the structure and nothing
+    more: lists for a general permutation or diagonal, a bit mask for a
+    Pauli string, the shift function for an oracle, nothing for the
+    identity. The transpose swaps the maps; the adjoint also conjugates the
+    phase.
+    """
+
+    def __init__(self, dim: int, forward, backward, pair: NormPair, structure: tuple):
         self.rows = self.cols = dim
+        self._forward = forward
+        self._backward = backward
+        self._conjugate = False
         self.pair = pair
         self.bound = 1.0
         self.structure = structure
 
     def sample_forward(self, m, rng):
-        ph = self._phases[m]
-        return Transition(self._perm[m], None, ph, ph)
+        n, ph = self._forward(m)
+        if self._conjugate:
+            ph = ph.conjugate()
+        return Transition(n, None, ph, ph)
 
     def sample_backward(self, n, rng):
-        m = self._inv[n]
-        ph = self._phases[m]
+        m, ph = self._backward(n)
+        if self._conjugate:
+            ph = ph.conjugate()
         return Transition(m, None, ph, ph)
 
     def entries(self):
         for m in range(self.rows):
-            yield SupportEntry(m, self._perm[m], None, self._phases[m], 1.0, 1.0)
+            n, ph = self._forward(m)
+            yield SupportEntry(m, n, None, ph.conjugate() if self._conjugate else ph,
+                               1.0, 1.0)
 
     def _flipped(self, conjugate):
-        phases = [self._phases[m] for m in self._inv]
-        if conjugate:
-            phases = [ph.conjugate() for ph in phases]
-        return PhasedPermutation(self._inv, phases, self.pair, self.structure)
+        out = copy.copy(self)
+        out._forward, out._backward = self._backward, self._forward
+        out._conjugate = self._conjugate != conjugate
+        return out
+
+
+_ONE = 1.0 + 0.0j
+
+
+def _listed(perm, phases, pair: NormPair, structure: tuple) -> PhasedPermutation:
+    """A permutation with phases, held as one (index, phase) list per axis."""
+    perm = [int(x) for x in perm]
+    dim = len(perm)
+    if dim == 0:
+        raise InvalidParameter("empty permutation")
+    if sorted(perm) != list(range(dim)):
+        raise InvalidParameter("perm is not a bijection on 0..dim-1")
+    phases = [_ONE] * dim if phases is None else [complex(x) for x in phases]
+    if len(phases) != dim:
+        raise InvalidParameter("need one phase per index")
+    for ph in phases:
+        # written so that a NaN phase fails it
+        if not abs(abs(ph) - 1.0) <= _PHASE_TOL:
+            raise NonUnitPhase(f"phase {ph} is off the unit circle")
+    by_row = list(zip(perm, phases))
+    by_col = [None] * dim
+    for m, (n, ph) in enumerate(by_row):
+        by_col[n] = (m, ph)
+    return PhasedPermutation(dim, by_row.__getitem__, by_col.__getitem__, pair, structure)
+
+
+def _unit_phase(m: int):
+    return m, _ONE
 
 
 def identity_op(dim: int, pair: NormPair = NormPair()) -> PhasedPermutation:
-    return PhasedPermutation(range(dim), pair=pair)
+    if dim <= 0:
+        raise InvalidParameter("empty permutation")
+    return PhasedPermutation(dim, _unit_phase, _unit_phase, pair, ("permutation",))
 
 
 def permutation(perm, phases=None, pair: NormPair = NormPair()) -> PhasedPermutation:
-    return PhasedPermutation(perm, phases, pair)
+    return _listed(perm, phases, pair, ("permutation",))
 
 
 def diagonal_unitary(values, pair: NormPair = NormPair()) -> PhasedPermutation:
     """Diagonal matrix of a sequence of unit-modulus values."""
     values = list(values)
-    return PhasedPermutation(range(len(values)), values, pair, structure=("diagonal",))
+    return _listed(range(len(values)), values, pair, ("diagonal",))
 
 
 _PAULI_LETTERS = frozenset("IXYZ")
+_I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
 
-class PauliString(PathOperator):
-    """Tensor product of single-qubit Pauli matrices, e.g. "XIZ"."""
-
-    def __init__(self, letters: str, pair: NormPair = NormPair()):
-        if not letters or set(letters) - _PAULI_LETTERS:
-            raise InvalidParameter(f"Pauli string must be nonempty over IXYZ, got {letters!r}")
-        self._letters = letters
-        n = len(letters)
-        self._n = n
-        mask = 0
-        for j, c in enumerate(letters):
-            if c in "XY":
-                mask |= 1 << (n - 1 - j)
-        self._mask = mask
-        self.rows = self.cols = 1 << n
-        self.pair = pair
-        self.bound = 1.0
-        self.structure = ("pauli",)
-
-    def _value(self, m: int) -> complex:
-        """The single nonzero entry of row m, at column m ^ mask."""
-        val = 1.0 + 0.0j
-        n = self._n
-        for j, c in enumerate(self._letters):
-            bit = (m >> (n - 1 - j)) & 1
-            if c == "Z":
-                if bit:
-                    val = -val
-            elif c == "Y":
-                val *= 1j if bit else -1j
-        return val
-
-    def sample_forward(self, m, rng):
-        v = self._value(m)
-        return Transition(m ^ self._mask, None, v, v)
-
-    def sample_backward(self, n, rng):
-        m = n ^ self._mask
-        v = self._value(m)
-        return Transition(m, None, v, v)
-
-    def entries(self):
-        for m in range(self.rows):
-            yield SupportEntry(m, m ^ self._mask, None, self._value(m), 1.0, 1.0)
-
-    def _flipped(self, conjugate):
-        # Hermitian; the transpose negates every Y
-        if conjugate or self._letters.count("Y") % 2 == 0:
-            return self
-        return ScaledOp(-1.0, self)
+def _xor_map(flip: int, signs: int, phases: tuple):
+    """m -> (m ^ flip, the phase indexed by the parity of m on ``signs``)."""
+    return lambda m: (m ^ flip, phases[(m & signs).bit_count() & 1])
 
 
-def pauli_string(letters: str, pair: NormPair = NormPair()) -> PauliString:
-    return PauliString(letters, pair)
+def pauli_string(letters: str, pair: NormPair = NormPair()) -> PhasedPermutation:
+    """Tensor product of single-qubit Pauli matrices, e.g. "XIZ". Row m has
+    its entry at column ``m ^ flip``, X and Y flipping their bits, with
+    phase ``(-i)**#Y`` times -1 per set Y or Z bit of m."""
+    if not letters or set(letters) - _PAULI_LETTERS:
+        raise InvalidParameter(f"Pauli string must be nonempty over IXYZ, got {letters!r}")
+    flip = signs = 0
+    for c in letters:
+        flip = flip << 1 | (c in "XY")
+        signs = signs << 1 | (c in "YZ")
+    ys = letters.count("Y")
+    even, odd = _I_POWERS[-ys % 4], _I_POWERS[(2 - ys) % 4]
+    forward = _xor_map(flip, signs, (even, odd))
+    # column n's entry sits in row n ^ flip, whose sign parity differs by #Y
+    backward = forward if ys % 2 == 0 else _xor_map(flip, signs, (odd, even))
+    return PhasedPermutation(1 << len(letters), forward, backward, pair, ("pauli",))
 
 
 class FlatOperator(PathOperator):
@@ -652,67 +648,35 @@ class QueryCounter:
     count: int = 0
 
 
-class ShiftOracle(PathOperator):
+def shift_oracle(g, x_size: int, y_size: int,
+                 pair: NormPair = NormPair()) -> PhasedPermutation:
     """The permutation (x, y) -> (x, y + g(x) mod y_size) on a split index.
 
     The global index is ``x * y_size + y``. Every transition evaluates g
-    exactly once and increments the shared query counter.
+    exactly once and increments the operator's ``query_counter``, which
+    both flips share: the count lives in the maps.
     """
+    if x_size <= 0 or y_size <= 0:
+        raise InvalidParameter("oracle needs positive register sizes")
+    if not callable(g):
+        table = [int(v) for v in g]
+        if len(table) != x_size:
+            raise InvalidParameter(
+                f"oracle table has {len(table)} entries for x_size={x_size}"
+            )
+        g = table.__getitem__
+    counter = QueryCounter()
 
-    def __init__(self, g, x_size: int, y_size: int, pair: NormPair = NormPair()):
-        if x_size <= 0 or y_size <= 0:
-            raise InvalidParameter("oracle needs positive register sizes")
-        if callable(g):
-            self._g = g
-        else:
-            table = [int(v) for v in g]
-            if len(table) != x_size:
-                raise InvalidParameter(
-                    f"oracle table has {len(table)} entries for x_size={x_size}"
-                )
-            self._g = table.__getitem__
-        self._x_size = x_size
-        self._y_size = y_size
-        self._sign = 1
-        self.rows = self.cols = x_size * y_size
-        self.pair = pair
-        self.bound = 1.0
-        self.structure = ("oracle",)
-        self.query_counter = QueryCounter()
+    def shift(sign: int):
+        def step(m: int):
+            counter.count += 1
+            x, y = divmod(m, y_size)
+            return x * y_size + (y + sign * int(g(x))) % y_size, _ONE
+        return step
 
-    def _eval(self, x: int) -> int:
-        self.query_counter.count += 1
-        return self._sign * int(self._g(x))
-
-    def sample_forward(self, m, rng):
-        x, y = divmod(m, self._y_size)
-        n = x * self._y_size + (y + self._eval(x)) % self._y_size
-        return Transition(n, None, 1.0 + 0j, 1.0 + 0j)
-
-    def sample_backward(self, n, rng):
-        x, y_out = divmod(n, self._y_size)
-        m = x * self._y_size + (y_out - self._eval(x)) % self._y_size
-        return Transition(m, None, 1.0 + 0j, 1.0 + 0j)
-
-    def entries(self):
-        for x in range(self._x_size):
-            shift = self._eval(x)
-            for y in range(self._y_size):
-                m = x * self._y_size + y
-                n = x * self._y_size + (y + shift) % self._y_size
-                yield SupportEntry(m, n, None, 1.0 + 0j, 1.0, 1.0)
-
-    def _flipped(self, conjugate):
-        # a real permutation: both flips are the inverse shift, and they
-        # count their queries with the original
-        flip = ShiftOracle(self._g, self._x_size, self._y_size, self.pair)
-        flip._sign = -self._sign
-        flip.query_counter = self.query_counter
-        return flip
-
-
-def shift_oracle(g, x_size: int, y_size: int, pair: NormPair = NormPair()) -> ShiftOracle:
-    return ShiftOracle(g, x_size, y_size, pair)
+    op = PhasedPermutation(x_size * y_size, shift(1), shift(-1), pair, ("oracle",))
+    op.query_counter = counter
+    return op
 
 
 def fourier_transform(n_qubits: int, pair: NormPair = NormPair()) -> FlatOperator:
@@ -1046,9 +1010,10 @@ def exp_op(inner: PathOperator) -> ExpOp:
 
 class BlockDiagonal(PathOperator):
     """A direct sum of blocks laid out contiguously: block r holds the
-    global rows (columns) that follow those of blocks 0..r-1. Transitions
-    never leave the block of the incoming index, so the certified bound is
-    the largest block bound.
+    global rows (columns) that follow those of blocks 0..r-1, and an index
+    finds its block by bisection on the block offsets. Transitions never
+    leave the block of the incoming index, so the certified bound is the
+    largest block bound.
     """
 
     def __init__(self, blocks):
@@ -1057,27 +1022,21 @@ class BlockDiagonal(PathOperator):
             raise InvalidParameter("need at least one block")
         self.pair = _require_same_pair(blocks)
         self.blocks = blocks
-        self._row_map, self._row_start = self._layout([b.rows for b in blocks])
-        self._col_map, self._col_start = self._layout([b.cols for b in blocks])
-        self.rows = len(self._row_map)
-        self.cols = len(self._col_map)
+        # the first global index of every block, then the total
+        self._row_start = list(itertools.accumulate((b.rows for b in blocks), initial=0))
+        self._col_start = list(itertools.accumulate((b.cols for b in blocks), initial=0))
+        self.rows = self._row_start[-1]
+        self.cols = self._col_start[-1]
         self.bound = max(b.bound for b in blocks)
 
-    @staticmethod
-    def _layout(sizes):
-        """The (block, local index) of every global index, and the first
-        global index of every block."""
-        mapping = [(r, i) for r, size in enumerate(sizes) for i in range(size)]
-        return mapping, list(itertools.accumulate(sizes[:-1], initial=0))
-
     def sample_forward(self, m, rng):
-        r, i = self._row_map[m]
-        t = self.blocks[r].sample_forward(i, rng)
+        r = bisect_right(self._row_start, m) - 1
+        t = self.blocks[r].sample_forward(m - self._row_start[r], rng)
         return Transition(self._col_start[r] + t.index, t.tag, t.ratio_p, t.ratio_q)
 
     def sample_backward(self, n, rng):
-        r, j = self._col_map[n]
-        t = self.blocks[r].sample_backward(j, rng)
+        r = bisect_right(self._col_start, n) - 1
+        t = self.blocks[r].sample_backward(n - self._col_start[r], rng)
         return Transition(self._row_start[r] + t.index, t.tag, t.ratio_p, t.ratio_q)
 
     def entries(self):

@@ -11,6 +11,9 @@ frequency and, exactly, in the reported importance ratios.
 
 import itertools
 import math
+import resource
+import subprocess
+import types
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -24,6 +27,37 @@ SUM_TOL = 1e-12
 COST_TOL = 1e-9
 NORM_SLACK = 1e-6
 RATIO_RTOL = 1e-9
+
+
+def run_capped(argv, address_mib: int, timeout: float = 120, **kwargs):
+    """Run a command with its address space capped at ``address_mib`` MiB, so
+    that an allocation without bound ends in MemoryError inside the child
+    rather than exhausting the machine."""
+    limit = address_mib << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return subprocess.run(argv, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=timeout, **kwargs)
+
+
+def longest_held_sequence(obj, seen=None) -> int:
+    """The length of the longest list or tuple that ``obj`` holds, through
+    its attributes, the owners of its bound methods and the cells of its
+    closures."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, (list, tuple)):
+        return max([len(obj)] + [longest_held_sequence(x, seen) for x in obj])
+    if isinstance(obj, types.FunctionType):
+        held = [c.cell_contents for c in obj.__closure__ or ()]
+    elif isinstance(obj, types.BuiltinMethodType):
+        held = [obj.__self__]
+    else:
+        held = list(getattr(obj, "__dict__", {}).values())
+    return max([0] + [longest_held_sequence(x, seen) for x in held])
 
 
 def dense_from_entries(entries, rows, cols):

@@ -11,12 +11,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_mixed_zoo_traced_smoke():
+@pytest.mark.parametrize("workload", ["haar_sandwich", "fourier_wide", "mixed_zoo"])
+def test_bench_traced_smoke(workload):
     out = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "mixed_zoo",
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True, timeout=300, cwd=ROOT,
     )

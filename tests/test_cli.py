@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from helpers import run_capped
 from pathmc import cli, sample_count
 from pathmc.cli import load_file, main
 from pathmc.engine import (
@@ -289,6 +290,35 @@ def test_path_count_cap_refuses_before_sampling(capsys, tmp_path):
     assert time.perf_counter() - started < 1.0
     assert (code, out) == (3, "")
     assert "K = 1268" in err and "above the path-count cap of 1000000000" in err
+
+
+def test_thirty_qubit_grover_estimates_in_constant_memory(tmp_path):
+    # the identity inside the reflection is a fixed map, not a list of 2**30
+    # indices; a 1 GiB address space turns an O(N) list into a failure
+    doc = {"schema_version": 1, "n_levels": 1 << 30, "p": 2,
+           "state": {"kind": "basis", "index": 5},
+           "operators": [{"kind": "grover", "qubits": 30}],
+           "measurement": {"kind": "pauli", "letters": "Z" * 30}}
+    out = run_capped([sys.executable, "-m", "pathmc", "estimate", write(tmp_path, doc),
+                      "--epsilon", "0.5", "--delta", "0.1"], 1024)
+    assert out.returncode == 0, out.stderr[-2000:]
+    report = json.loads(out.stdout)
+    assert report["b"] == 9.0
+    # <5| G Z G |5> with G = 1 - 2|u><u| is 1 up to terms of order 2**-30
+    assert abs(report["estimate_re"] - 1.0) <= 0.5
+
+
+def test_running_out_of_memory_exits_three(tmp_path):
+    # the uniform state's O(N) phase list cannot be allocated under a 2 GiB
+    # address space: one pathmc line and exit 3, not a traceback
+    doc = {"schema_version": 1, "n_levels": 10 ** 12, "p": 2,
+           "state": {"kind": "uniform"}, "operators": [],
+           "measurement": {"kind": "pauli", "letters": "Z"}}
+    path = write(tmp_path, doc)
+    for command in ("exact", "estimate"):
+        out = run_capped([sys.executable, "-m", "pathmc", command, path], 2048)
+        assert (out.returncode, out.stdout) == (3, ""), out.stderr[-2000:]
+        assert out.stderr == "pathmc: the computation ran out of memory\n"
 
 
 def test_reads_stdin(capsys, monkeypatch):

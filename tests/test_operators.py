@@ -1,12 +1,15 @@
+import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_operator_certificate, dense_from_entries
+from helpers import assert_operator_certificate, dense_from_entries, run_capped
 from pathmc import (
     NormPair,
     RngStream,
@@ -239,6 +242,40 @@ def test_shift_oracle_counts_queries():
     assert np.allclose(adj.dense(), op.dense().conj().T)
 
 
+_CLOSED_FORM_BUILDS = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+from helpers import longest_held_sequence
+from pathmc import (RngStream, controlled, grover_reflection, identity_op,
+                    pauli_string, shift_oracle)
+ops = {
+    "identity": identity_op(1 << 40),
+    "pauli": pauli_string("X" * 40),
+    "grover": grover_reflection(40),
+    "oracle": shift_oracle(lambda x: 3 * x + 1, 1 << 20, 1 << 20),
+    "controlled": controlled([pauli_string("XYZ" * 13), pauli_string("Z" * 39)]),
+}
+rng, held = RngStream(0), {}
+for name, op in ops.items():
+    m = op.rows - 5
+    op.sample_backward(op.sample_forward(m, rng).index, rng)
+    held[name] = longest_held_sequence(op)
+print(json.dumps(held))
+"""
+
+
+def test_closed_form_operators_hold_no_per_index_list():
+    # under a 1 GiB address space, so that an O(N) list fails with
+    # MemoryError in the child instead of exhausting the machine
+    tests = Path(__file__).resolve().parent
+    out = run_capped([sys.executable, "-c", _CLOSED_FORM_BUILDS, str(tests),
+                      str(tests.parent / "src")], 1024)
+    assert out.returncode == 0, out.stderr[-2000:]
+    held = json.loads(out.stdout)
+    assert set(held) == {"identity", "pauli", "grover", "oracle", "controlled"}
+    assert max(held.values()) <= 4, held
+
+
 def test_fourier_and_hadamard():
     for n in (1, 2, 3):
         dim = 1 << n
@@ -284,37 +321,47 @@ def test_scaled_operator():
 _RECT = np.array([[1.0, 2.0j, 0.0, -0.5], [0.0, -3.0, 0.5 - 0.5j, 1.0j],
                   [0.25, 0.0, 0.0, 2.0 + 1.0j]])
 
-# One instance of every operator class, built at a pair, and the exponents
-# the class is certified at. Dyad is reached through a projector family,
-# whose blocks it is; the other endpoints are certified at (2, 2) only.
+# One instance of every operator kind, keyed by name: its class, a builder
+# at a pair, and the exponents the kind is certified at. Pauli strings and
+# oracles are phased permutations, so they share that class. Dyad is reached
+# through a projector family, whose blocks it is; the other endpoints are
+# certified at (2, 2) only.
 FLIP_CASES = {
-    operators.DenseOptimal: (lambda pair: from_dense_optimal(_RECT, pair), (2.0, 3.0)),
-    operators.RowCol: (lambda pair: from_rowcol(_RECT, pair), (2.0, 3.0)),
-    operators.PhasedPermutation: (
-        lambda pair: permutation([2, 0, 1], [1j, -1.0, 0.6 + 0.8j], pair), (2.0, 3.0)),
-    operators.PauliString: (lambda pair: pauli_string("XYZ", pair), (2.0, 3.0)),
-    operators.FlatOperator: (lambda pair: fourier_transform(2, pair), (2.0, 3.0)),
-    operators.HaarWavelet: (lambda pair: haar_wavelet(2, pair), (2.0,)),
-    operators._TransposedHaar: (lambda pair: haar_wavelet(2, pair).transpose(), (2.0,)),
-    operators.ShiftOracle: (lambda pair: shift_oracle([1, 2], 2, 3, pair), (2.0, 3.0)),
-    operators.ScaledOp: (lambda pair: scale(0.6 - 0.8j, from_rowcol(_RECT, pair)), (2.0, 3.0)),
-    operators.SumOp: (lambda pair: sum_ops(
+    "DenseOptimal": (operators.DenseOptimal,
+                     lambda pair: from_dense_optimal(_RECT, pair), (2.0, 3.0)),
+    "RowCol": (operators.RowCol, lambda pair: from_rowcol(_RECT, pair), (2.0, 3.0)),
+    "PhasedPermutation": (operators.PhasedPermutation, lambda pair: permutation(
+        [2, 0, 1], [1j, -1.0, 0.6 + 0.8j], pair), (2.0, 3.0)),
+    "PauliString": (operators.PhasedPermutation,
+                    lambda pair: pauli_string("XYZ", pair), (2.0, 3.0)),
+    "FlatOperator": (operators.FlatOperator,
+                     lambda pair: fourier_transform(2, pair), (2.0, 3.0)),
+    "HaarWavelet": (operators.HaarWavelet, lambda pair: haar_wavelet(2, pair), (2.0,)),
+    "_TransposedHaar": (operators._TransposedHaar,
+                        lambda pair: haar_wavelet(2, pair).transpose(), (2.0,)),
+    "ShiftOracle": (operators.PhasedPermutation,
+                    lambda pair: shift_oracle([1, 2], 2, 3, pair), (2.0, 3.0)),
+    "ScaledOp": (operators.ScaledOp,
+                 lambda pair: scale(0.6 - 0.8j, from_rowcol(_RECT, pair)), (2.0, 3.0)),
+    "SumOp": (operators.SumOp, lambda pair: sum_ops(
         [(0.5j, pauli_string("XY", pair)), (-1.0, fourier_transform(2, pair))],
         weights=[0.3, 0.7]), (2.0, 3.0)),
-    operators.ProductOp: (lambda pair: product_ops(
+    "ProductOp": (operators.ProductOp, lambda pair: product_ops(
         [from_rowcol(_RECT, pair), pauli_string("YX", pair)]), (2.0, 3.0)),
-    operators.ExpOp: (lambda pair: exp_op(scale(-0.4j, pauli_string("YX", pair))), (2.0, 3.0)),
-    operators.BlockDiagonal: (lambda pair: block_diagonal(
+    "ExpOp": (operators.ExpOp,
+              lambda pair: exp_op(scale(-0.4j, pauli_string("YX", pair))), (2.0, 3.0)),
+    "BlockDiagonal": (operators.BlockDiagonal, lambda pair: block_diagonal(
         [pauli_string("Y", pair), from_rowcol(_RECT, pair)]), (2.0, 3.0)),
-    operators.TensorEmbed: (lambda pair: tensor_embed(from_dense_optimal(_RECT, pair), 2, 1),
-                            (2.0, 3.0)),
-    states.Dyad: (lambda pair: projector_family([1, 0], 2, 3, pair), (2.0, 3.0)),
-    states.DensityEndpoint: (lambda pair: states.density(
+    "TensorEmbed": (operators.TensorEmbed,
+                    lambda pair: tensor_embed(from_dense_optimal(_RECT, pair), 2, 1),
+                    (2.0, 3.0)),
+    "Dyad": (states.Dyad, lambda pair: projector_family([1, 0], 2, 3, pair), (2.0, 3.0)),
+    "DensityEndpoint": (states.DensityEndpoint, lambda pair: states.density(
         np.array([[0.75, 0.25 - 0.125j], [0.25 + 0.125j, 0.25]]), pair), (2.0,)),
-    states.LowRankEndpoint: (lambda pair: states.low_rank(
+    "LowRankEndpoint": (states.LowRankEndpoint, lambda pair: states.low_rank(
         [(0.5 + 0.5j, np.array([0.6, 0.8j]), np.array([0.8, -0.6j])),
          (-0.3, np.array([1.0, 1.0]) / math.sqrt(2), np.array([0.28, 0.96]))], pair),
-                             (2.0,)),
+                        (2.0,)),
 }
 
 
@@ -323,13 +370,13 @@ def test_every_operator_samples_its_own_adjoint():
                if isinstance(c, type) and issubclass(c, PathOperator)
                and c not in (PathOperator, operators._TableOp)]
     classes += [states.Dyad, states.DensityEndpoint, states.LowRankEndpoint]
-    assert set(FLIP_CASES) == set(classes)
-    for cls in classes:
+    assert {cls for cls, _, _ in FLIP_CASES.values()} == set(classes)
+    for cls, build, _ in FLIP_CASES.values():
         # one flip per class, never the base class's refusal; adjoint() and
         # transpose() live on PathOperator alone
         assert cls._flipped is not PathOperator._flipped, cls.__name__
         assert not {"adjoint", "transpose"} & set(vars(cls)), cls.__name__
-        op = FLIP_CASES[cls][0](NormPair())
+        op = build(NormPair())
         assert isinstance(op, cls) or all(isinstance(b, cls) for b in op.blocks), cls
     # away from the balanced pair too, and both are involutions in value
     mat = np.array([[1.0, 2.0j], [3.0, 4.0]])
@@ -338,11 +385,11 @@ def test_every_operator_samples_its_own_adjoint():
     assert np.allclose(transpose(transpose(op)).dense(), mat)
 
 
-@pytest.mark.parametrize("cls, p", [(cls, p) for cls, (_, ps) in FLIP_CASES.items()
-                                    for p in ps],
-                         ids=lambda x: x.__name__ if isinstance(x, type) else f"p={x:g}")
-def test_flips_are_the_adjoint_and_the_transpose(cls, p):
-    build, _ = FLIP_CASES[cls]
+@pytest.mark.parametrize("name, p", [(name, p) for name, (_, _, ps) in FLIP_CASES.items()
+                                     for p in ps],
+                         ids=lambda x: x if isinstance(x, str) else f"p={x:g}")
+def test_flips_are_the_adjoint_and_the_transpose(name, p):
+    cls, build, _ = FLIP_CASES[name]
     op = build(NormPair.from_p(p))
     ref = op.dense()
     adj = op.adjoint()
