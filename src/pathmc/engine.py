@@ -349,10 +349,12 @@ def interference_capacity(target: PathOperator) -> float:
     """The largest interference a single insertion of the operator can
     contribute: the induced q -> q norm of its entrywise magnitudes.
 
-    Operators that declare special structure use exact closed forms: each
-    such ``|A|`` has every row and column sum equal to one value, which is
-    its induced norm at every q. Everything else is priced densely, subject
-    to the dense cap.
+    Operators that declare special structure, and their flips, use exact
+    closed forms. Each such ``|A|`` other than Haar's has every row and
+    column sum equal to one value, which is its induced norm at every q.
+    Haar's row sums differ; its closed form sqrt(n + 1) is the 2-norm, and
+    (2, 2) is the only pair it supports. Everything else is priced densely,
+    subject to the dense cap.
     """
     if target.structure:
         form = _CLOSED_FORMS.get(target.structure[0])

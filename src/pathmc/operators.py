@@ -104,10 +104,18 @@ class PathOperator:
         return out
 
     def adjoint(self) -> "PathOperator":
-        return self._flipped(True)
+        return self._flip(True)
 
     def transpose(self) -> "PathOperator":
-        return self._flipped(False)
+        return self._flip(False)
+
+    def _flip(self, conjugate: bool) -> "PathOperator":
+        out = self._flipped(conjugate)
+        # a combinator's flip is a fresh instance without the structure its
+        # builder set; every closed form (equal row and column sums of |A|,
+        # or Haar's 2-norm at (2, 2)) is unchanged by transposing |A|
+        out.structure = self.structure
+        return out
 
     def _flipped(self, conjugate: bool) -> "PathOperator":
         raise NotImplementedError
@@ -529,13 +537,15 @@ def grover_reflection(n_qubits: int, pair: NormPair = NormPair()) -> PathOperato
 
 
 class HaarWavelet(PathOperator):
-    """The discrete Haar wavelet transform on n bits.
+    """The discrete Haar wavelet transform on n bits, or its transpose.
 
     Row 0 is the uniform average; row x with leading set bit at position s
     (counted from the most significant bit) carries ``+-2**-((s+1)/2)`` on
     the 2**(s+1) columns whose trailing bits agree with x. Every column has
     exactly n+1 nonzero entries, so backward transitions are uniform over
-    n+1 candidates and the certified bound is sqrt(n+1).
+    n+1 candidates and the certified bound is sqrt(n+1). The adjoint is the
+    transpose, a flag: each step takes the other direction's law and
+    exchanges the two ratios, which keeps the bound at the pair (2, 2).
     """
 
     def __init__(self, n_bits: int, pair: NormPair = NormPair()):
@@ -544,6 +554,7 @@ class HaarWavelet(PathOperator):
         if pair.p != 2.0:
             raise InvalidParameter("wavelet transitions are certified for the balanced pair only")
         self._n = n_bits
+        self._transposed = False
         self.rows = self.cols = 1 << n_bits
         self.pair = pair
         self.bound = math.sqrt(n_bits + 1)
@@ -554,6 +565,8 @@ class HaarWavelet(PathOperator):
         return self._n - x.bit_length()
 
     def entry(self, x: int, y: int) -> float:
+        if self._transposed:
+            x, y = y, x
         n = self._n
         if x == 0:
             return 2.0 ** (-n / 2.0)
@@ -564,37 +577,52 @@ class HaarWavelet(PathOperator):
         sign = -1.0 if (y >> low) & 1 else 1.0
         return sign * 2.0 ** (-(s + 1) / 2.0)
 
-    def sample_forward(self, x, rng):
+    def _step(self, i: int, rng, along_row: bool) -> Transition:
+        """A step of the transform's law along row i to a column, or along
+        column i to a row; the transpose exchanges the two ratios."""
         n = self._n
-        if x == 0:
-            y = int(rng.random() * self.rows)
-            rp = 2.0 ** (n / 2.0)
-            rq = (n + 1) * 2.0 ** (-n / 2.0)
-            return Transition(y, None, rp, rq)
-        s = self._leading(x)
-        low = n - 1 - s
-        free = s + 1
-        r = int(rng.random() * (1 << free))
-        y = (r << low) | (x & ((1 << low) - 1))
-        sign = -1.0 if (y >> low) & 1 else 1.0
-        rp = sign * 2.0 ** (free / 2.0)
-        rq = sign * (n + 1) * 2.0 ** (-free / 2.0)
-        return Transition(y, None, rp, rq)
+        if along_row:
+            if i == 0:
+                j = int(rng.random() * self.rows)
+                rp = 2.0 ** (n / 2.0)
+                rq = (n + 1) * 2.0 ** (-n / 2.0)
+            else:
+                s = self._leading(i)
+                low = n - 1 - s
+                free = s + 1
+                r = int(rng.random() * (1 << free))
+                j = (r << low) | (i & ((1 << low) - 1))
+                sign = -1.0 if (j >> low) & 1 else 1.0
+                rp = sign * 2.0 ** (free / 2.0)
+                rq = sign * (n + 1) * 2.0 ** (-free / 2.0)
+        else:
+            c = int(rng.random() * (n + 1))
+            if c == 0:
+                j = 0
+                a = 2.0 ** (-n / 2.0)
+                rp, rq = a * self.rows, (n + 1) * a
+            else:
+                s = c - 1
+                low = n - 1 - s
+                j = (1 << low) | (i & ((1 << low) - 1))
+                sign = -1.0 if (i >> low) & 1 else 1.0
+                a = sign * 2.0 ** (-(s + 1) / 2.0)
+                rp, rq = a * (1 << (s + 1)), (n + 1) * a
+        if self._transposed:
+            rp, rq = rq, rp
+        return Transition(j, None, rp, rq)
+
+    def sample_forward(self, x, rng):
+        return self._step(x, rng, not self._transposed)
 
     def sample_backward(self, y, rng):
-        n = self._n
-        c = int(rng.random() * (n + 1))
-        if c == 0:
-            a = 2.0 ** (-n / 2.0)
-            return Transition(0, None, a * self.rows, (n + 1) * a)
-        s = c - 1
-        low = n - 1 - s
-        x = (1 << low) | (y & ((1 << low) - 1))
-        sign = -1.0 if (y >> low) & 1 else 1.0
-        a = sign * 2.0 ** (-(s + 1) / 2.0)
-        return Transition(x, None, a * (1 << (s + 1)), (n + 1) * a)
+        return self._step(y, rng, self._transposed)
 
     def entries(self):
+        if self._transposed:
+            for e in self._flipped(False).entries():
+                yield SupportEntry(e.col, e.row, None, e.alpha, e.prob_q, e.prob_p)
+            return
         n = self._n
         inv_q = 1.0 / (n + 1)
         for y in range(self.cols):
@@ -610,31 +638,9 @@ class HaarWavelet(PathOperator):
                 yield SupportEntry(x, y, None, complex(a), prob_p, inv_q)
 
     def _flipped(self, conjugate):
-        return _TransposedHaar(self._n, self.pair)
-
-
-class _TransposedHaar(HaarWavelet):
-    """The transpose, and so the adjoint, of the real Haar transform: each
-    step takes the other direction's law of the transform and exchanges the
-    two ratios, which keeps the bound because the pair is (2, 2)."""
-
-    def entry(self, x: int, y: int) -> float:
-        return HaarWavelet.entry(self, y, x)
-
-    def sample_forward(self, x, rng):
-        t = HaarWavelet.sample_backward(self, x, rng)
-        return Transition(t.index, None, t.ratio_q, t.ratio_p)
-
-    def sample_backward(self, y, rng):
-        t = HaarWavelet.sample_forward(self, y, rng)
-        return Transition(t.index, None, t.ratio_q, t.ratio_p)
-
-    def entries(self):
-        for e in self.adjoint().entries():
-            yield SupportEntry(e.col, e.row, None, e.alpha, e.prob_q, e.prob_p)
-
-    def _flipped(self, conjugate):
-        return HaarWavelet(self._n, self.pair)
+        out = copy.copy(self)
+        out._transposed = not self._transposed
+        return out
 
 
 def haar_wavelet(n_bits: int, pair: NormPair = NormPair()) -> HaarWavelet:

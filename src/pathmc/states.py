@@ -165,27 +165,33 @@ class PhaseState(SampleableState):
     """Uniform-magnitude state ``exp(i theta(x)) / sqrt(dim)``.
 
     Every power law is the uniform distribution, which is what makes these
-    states cheap to sample regardless of the phase profile.
+    states cheap to sample regardless of the phase profile. The state holds
+    the angle map ``theta``: a list's lookup for given angles, a closed form
+    that holds no per-index state for the uniform state and the Fourier
+    phase states of a projector family.
     """
 
     def __init__(self, thetas):
         try:
-            self._theta = list(map(float, thetas))
+            angles = list(map(float, thetas))
             # a finite sum means finite angles, and costs a quarter of the
             # check per angle, which runs only if finite angles overflow it
-            finite = (math.isfinite(sum(self._theta))
-                      or all(map(math.isfinite, self._theta)))
+            finite = math.isfinite(sum(angles)) or all(map(math.isfinite, angles))
         except OverflowError:  # an integer beyond the float range
             finite = False
         if not finite:
             raise InvalidParameter("phase state has a non-finite angle")
-        self.dim = len(self._theta)
-        if self.dim == 0:
+        self._hold_angles(len(angles), angles.__getitem__)
+
+    def _hold_angles(self, dim: int, theta) -> None:
+        if dim <= 0:
             raise InvalidParameter("empty phase state")
-        self._scale = 1.0 / math.sqrt(self.dim)
+        self.dim = dim
+        self._theta = theta
+        self._scale = 1.0 / math.sqrt(dim)
 
     def amplitude(self, i):
-        return cmath.exp(1j * self._theta[i]) * self._scale
+        return cmath.exp(1j * self._theta(i)) * self._scale
 
     def pnorm(self, p):
         if p == math.inf:
@@ -202,9 +208,17 @@ class PhaseState(SampleableState):
         return list(range(self.dim))
 
 
+def _closed_phase_state(dim: int, theta) -> PhaseState:
+    """The phase state with the closed-form angle map ``theta`` on ``dim``
+    levels; it holds no per-index state."""
+    state = PhaseState.__new__(PhaseState)
+    state._hold_angles(dim, theta)
+    return state
+
+
 def uniform_state(dim: int) -> PhaseState:
     """The uniform superposition with all-zero phases."""
-    return PhaseState([0.0] * dim)
+    return _closed_phase_state(dim, lambda i: 0.0)
 
 
 def basis_state(index: int, dim: int) -> BasisState:
@@ -546,8 +560,7 @@ def projector_family(table, x_size: int, y_size: int,
         raise InvalidParameter(f"table has {len(marks)} entries for x_size={x_size}")
     blocks = []
     for g in marks:
-        thetas = [-2.0 * math.pi * g * k / y_size for k in range(y_size)]
-        phi = PhaseState(thetas)
+        phi = _closed_phase_state(y_size, lambda k, g=g: -2.0 * math.pi * g * k / y_size)
         blocks.append(Dyad(phi, phi, pair))
     family = BlockDiagonal(blocks)
     family.structure = ("projector_family", x_size, y_size)

@@ -248,8 +248,9 @@ def test_dense_cap_is_checked_before_densifying(capsys, tmp_path):
 
 
 def test_stochastic_imax_uses_closed_forms_above_the_dense_cap(capsys, tmp_path):
-    # |A| of each structured kind has equal row and column sums, so its
-    # closed form holds at q = 1 and nothing is densified
+    # |A| of each structured kind other than Haar has equal row and column
+    # sums, so its closed form holds at q = 1 and nothing is densified; Haar
+    # exists at (2, 2) alone, where its closed form is the 2-norm
     chain = {"schema_version": 1, "n_levels": 2048, "p": "inf",
              "state": {"kind": "vector", "amplitudes": [1.0] + [0.0] * 2047},
              "operators": [{"kind": "hadamard", "qubits": 11},
@@ -309,16 +310,35 @@ def test_thirty_qubit_grover_estimates_in_constant_memory(tmp_path):
 
 
 def test_running_out_of_memory_exits_three(tmp_path):
-    # the uniform state's O(N) phase list cannot be allocated under a 2 GiB
-    # address space: one pathmc line and exit 3, not a traceback
-    doc = {"schema_version": 1, "n_levels": 10 ** 12, "p": 2,
-           "state": {"kind": "uniform"}, "operators": [],
-           "measurement": {"kind": "pauli", "letters": "Z"}}
+    # the 40-qubit Fourier transform's O(N) root table cannot be allocated
+    # under a 1 GiB address space: one pathmc line and exit 3, not a traceback
+    doc = {"schema_version": 1, "n_levels": 1 << 40, "p": 2,
+           "state": {"kind": "uniform"}, "operators": [{"kind": "fourier", "qubits": 40}],
+           "measurement": {"kind": "pauli", "letters": "Z" * 40}}
     path = write(tmp_path, doc)
     for command in ("exact", "estimate"):
-        out = run_capped([sys.executable, "-m", "pathmc", command, path], 2048)
+        out = run_capped([sys.executable, "-m", "pathmc", command, path], 1024)
         assert (out.returncode, out.stdout) == (3, ""), out.stderr[-2000:]
         assert out.stderr == "pathmc: the computation ran out of memory\n"
+
+
+def test_forty_qubit_uniform_state_estimates_in_constant_memory(tmp_path):
+    # the uniform state holds its angle as a closed form, not a list of 2**40
+    # zeros; a 1 GiB address space turns an O(N) list into a failure
+    doc = {"schema_version": 1, "n_levels": 1 << 40, "p": 2,
+           "state": {"kind": "uniform"}, "operators": [{"kind": "pauli", "letters": "XY" * 20}],
+           "measurement": {"kind": "pauli", "letters": "Z" * 40}}
+    path = write(tmp_path, doc)
+    out = run_capped([sys.executable, "-m", "pathmc", "estimate", path,
+                      "--epsilon", "0.5", "--delta", "0.1"], 1024)
+    assert out.returncode == 0, out.stderr[-2000:]
+    report = json.loads(out.stdout)
+    assert (report["K"], report["b"]) == (60, 1.0)
+    # the Pauli string maps Z^40 to +-Z^40, whose uniform-state mean is 0
+    assert abs(report["estimate_re"]) <= 0.5
+    out = run_capped([sys.executable, "-m", "pathmc", "exact", path], 1024)
+    assert (out.returncode, out.stdout) == (3, ""), out.stderr[-2000:]
+    assert f"dimension {1 << 40} above the dense cap of 1024" in out.stderr
 
 
 def test_reads_stdin(capsys, monkeypatch):

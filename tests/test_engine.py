@@ -296,8 +296,9 @@ def test_expression_interference_matches_exhaustive_paths():
 
 
 def test_interference_capacity_closed_forms():
-    # every structured |A| has equal row and column sums, so its closed
-    # form is the induced q -> q norm at every pair; Haar exists at (2, 2)
+    # every structured |A| but Haar's has equal row and column sums, so its
+    # closed form is the induced q -> q norm at every pair; Haar exists at
+    # (2, 2) alone, where its closed form sqrt(n + 1) is the 2-norm
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         pair = NormPair.from_p(p)
         cases = [

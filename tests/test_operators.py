@@ -25,6 +25,7 @@ from pathmc import (
     grover_reflection,
     haar_wavelet,
     identity_op,
+    interference_capacity,
     pauli_string,
     permutation,
     product_ops,
@@ -43,7 +44,7 @@ from pathmc.errors import (
     NonUnitPhase,
     ShapeMismatch,
 )
-from pathmc.linalg import dense_exp, induced_norm
+from pathmc.linalg import ORACLE_CAP, dense_exp, induced_norm
 from pathmc import states
 from pathmc.operators import PathOperator, adjoint, transpose
 from pathmc.states import ChainEndpoint, projector_family
@@ -246,14 +247,18 @@ _CLOSED_FORM_BUILDS = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
 from helpers import longest_held_sequence
-from pathmc import (RngStream, controlled, grover_reflection, identity_op,
-                    pauli_string, shift_oracle)
+from pathmc import (RngStream, controlled, dyad, grover_reflection, haar_wavelet,
+                    identity_op, pauli_string, projector_family, shift_oracle,
+                    uniform_state)
 ops = {
     "identity": identity_op(1 << 40),
     "pauli": pauli_string("X" * 40),
     "grover": grover_reflection(40),
     "oracle": shift_oracle(lambda x: 3 * x + 1, 1 << 20, 1 << 20),
     "controlled": controlled([pauli_string("XYZ" * 13), pauli_string("Z" * 39)]),
+    "haar_adjoint": haar_wavelet(40).adjoint(),
+    "uniform_dyad": dyad(uniform_state(1 << 40), uniform_state(1 << 40)),
+    "projector_family": projector_family([3, 5], 2, 1 << 38),
 }
 rng, held = RngStream(0), {}
 for name, op in ops.items():
@@ -272,7 +277,8 @@ def test_closed_form_operators_hold_no_per_index_list():
                       str(tests.parent / "src")], 1024)
     assert out.returncode == 0, out.stderr[-2000:]
     held = json.loads(out.stdout)
-    assert set(held) == {"identity", "pauli", "grover", "oracle", "controlled"}
+    assert set(held) == {"identity", "pauli", "grover", "oracle", "controlled",
+                         "haar_adjoint", "uniform_dyad", "projector_family"}
     assert max(held.values()) <= 4, held
 
 
@@ -337,8 +343,8 @@ FLIP_CASES = {
     "FlatOperator": (operators.FlatOperator,
                      lambda pair: fourier_transform(2, pair), (2.0, 3.0)),
     "HaarWavelet": (operators.HaarWavelet, lambda pair: haar_wavelet(2, pair), (2.0,)),
-    "_TransposedHaar": (operators._TransposedHaar,
-                        lambda pair: haar_wavelet(2, pair).transpose(), (2.0,)),
+    "HaarTranspose": (operators.HaarWavelet,
+                      lambda pair: haar_wavelet(2, pair).transpose(), (2.0,)),
     "ShiftOracle": (operators.PhasedPermutation,
                     lambda pair: shift_oracle([1, 2], 2, 3, pair), (2.0, 3.0)),
     "ScaledOp": (operators.ScaledOp,
@@ -404,6 +410,21 @@ def test_flips_are_the_adjoint_and_the_transpose(name, p):
     assert tr.pair == op.pair
     assert np.allclose(tr.dense(), ref.T, atol=1e-12)
     assert_operator_certificate(tr, ref.T, draws=1000, full_law=cls is not operators.ExpOp)
+
+
+def test_flips_keep_the_closed_form_structure():
+    # a builder sets the structure after construction, which a combinator's
+    # flip alone would drop; above the dense cap that refused the capacity
+    assert interference_capacity(grover_reflection(12).adjoint()) == 3.0 - 4.0 / 4096
+    family = projector_family([0, 1], 2, ORACLE_CAP)
+    assert interference_capacity(family.adjoint()) == 1.0
+    for name, (cls, build, _) in FLIP_CASES.items():
+        op = build(NormPair())
+        flips = [op.adjoint()]
+        if not issubclass(cls, ChainEndpoint):
+            flips.append(op.transpose())
+        for flipped in flips:
+            assert flipped.structure == op.structure, name
 
 
 def test_table_operators_are_two_weightings_of_one_law():
@@ -515,6 +536,7 @@ def test_haar_adjoint_is_its_transpose():
         op = haar_wavelet(n)
         ref = op.dense()
         for flipped in (op.adjoint(), op.transpose()):
+            assert type(flipped) is type(op)
             assert flipped.bound == op.bound
             assert flipped.structure == op.structure
             assert_operator_certificate(flipped, ref.T, draws=1000)
