@@ -258,6 +258,11 @@ def _build_endpoint(spec, dim: int, pair: NormPair, path: str):
     return LowRankEndpoint(terms, pair)
 
 
+# operator specs may nest (scaled, sum, product, exp, controlled,
+# tensor-embed) at most this deep, which keeps every recursive walk over the
+# built operator far from the interpreter's recursion limit
+_MAX_NESTING = 64
+
 _OP_KINDS = (
     "dense", "sparse", "permutation", "diagonal", "pauli", "grover", "haar",
     "fourier", "hadamard", "oracle", "scaled", "sum", "product", "exp",
@@ -265,8 +270,13 @@ _OP_KINDS = (
 )
 
 
-def _build_operator(spec, dim: int, pair: NormPair, path: str):
+def _build_operator(spec, dim: int, pair: NormPair, path: str, depth: int = 0):
+    if depth > _MAX_NESTING:
+        _fail(path, f"operators nest more than {_MAX_NESTING} levels deep")
     kind = _kind(spec, path, _OP_KINDS)
+
+    def inner(sub, at):
+        return _build_operator(sub, dim, pair, at, depth + 1)
 
     if kind == "dense":
         _require_keys(spec, path, ("matrix",), ("law",))
@@ -337,14 +347,13 @@ def _build_operator(spec, dim: int, pair: NormPair, path: str):
         _require_keys(spec, path, ("scale", "inner"))
         return scale(
             _scalar(spec["scale"], f"{path}.scale"),
-            _build_operator(spec["inner"], dim, pair, f"{path}.inner"),
+            inner(spec["inner"], f"{path}.inner"),
         )
     if kind == "sum":
         _require_keys(spec, path, ("terms",), ("scales", "weights"))
         if not isinstance(spec["terms"], list) or not spec["terms"]:
             _fail(f"{path}.terms", "expected a nonempty list of operators")
-        ops = [_build_operator(t, dim, pair, f"{path}.terms[{i}]")
-               for i, t in enumerate(spec["terms"])]
+        ops = [inner(t, f"{path}.terms[{i}]") for i, t in enumerate(spec["terms"])]
         scales = [1.0 + 0j] * len(ops)
         if "scales" in spec:
             if not isinstance(spec["scales"], list) or len(spec["scales"]) != len(ops):
@@ -362,24 +371,20 @@ def _build_operator(spec, dim: int, pair: NormPair, path: str):
         _require_keys(spec, path, ("factors",))
         if not isinstance(spec["factors"], list) or not spec["factors"]:
             _fail(f"{path}.factors", "expected a nonempty list of operators")
-        return product_ops([
-            _build_operator(f, dim, pair, f"{path}.factors[{i}]")
-            for i, f in enumerate(spec["factors"])
-        ])
+        return product_ops([inner(f, f"{path}.factors[{i}]")
+                            for i, f in enumerate(spec["factors"])])
     if kind == "exp":
         _require_keys(spec, path, ("inner",))
-        return exp_op(_build_operator(spec["inner"], dim, pair, f"{path}.inner"))
+        return exp_op(inner(spec["inner"], f"{path}.inner"))
     if kind == "controlled":
         _require_keys(spec, path, ("blocks",))
         if not isinstance(spec["blocks"], list) or not spec["blocks"]:
             _fail(f"{path}.blocks", "expected a nonempty list of operators")
-        return controlled([
-            _build_operator(b, dim, pair, f"{path}.blocks[{i}]")
-            for i, b in enumerate(spec["blocks"])
-        ])
+        return controlled([inner(b, f"{path}.blocks[{i}]")
+                           for i, b in enumerate(spec["blocks"])])
     _require_keys(spec, path, ("inner", "left", "right"))
     return tensor_embed(
-        _build_operator(spec["inner"], dim, pair, f"{path}.inner"),
+        inner(spec["inner"], f"{path}.inner"),
         _size(spec["left"], f"{path}.left", dim),
         _size(spec["right"], f"{path}.right", dim),
     )
@@ -420,6 +425,8 @@ def load_document(doc):
     if doc["schema_version"] != SCHEMA_VERSION:
         _fail("$.schema_version", f"expected {SCHEMA_VERSION}, got {doc['schema_version']!r}")
     dim = _positive_int(doc["n_levels"], "$.n_levels")
+    if dim > _FLOAT_MAX:
+        _fail("$.n_levels", "integer outside the float range")
     p = _parse_p(doc["p"], "$.p")
     if not isinstance(doc["operators"], list):
         _fail("$.operators", "expected a list of operator specs")
@@ -477,6 +484,8 @@ def load_file(path: str):
     except ValueError as exc:
         # JSONDecodeError, or an integer literal too long to convert
         raise SchemaError(f"'{path}' is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"'{path}' nests too deeply to decode") from None
     return load_document(doc)
 
 

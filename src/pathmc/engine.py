@@ -158,10 +158,9 @@ def _estimate(sigma: ChainEndpoint, op: PathOperator, b: float,
     started = time.perf_counter()
     base, extra = divmod(k, workers)
     merged = StreamingMoments()
-    for w in range(workers):
+    # streams past the K-th draw no path, so none of them is visited
+    for w in range(min(workers, k)):
         count = base + (1 if w < extra else 0)
-        if count == 0:
-            continue
         rng = RngStream(seed, w)
         chunk = StreamingMoments()
         for _ in range(count):

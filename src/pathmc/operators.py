@@ -539,13 +539,16 @@ def grover_reflection(n_qubits: int, pair: NormPair = NormPair()) -> PathOperato
 class HaarWavelet(PathOperator):
     """The discrete Haar wavelet transform on n bits, or its transpose.
 
-    Row 0 is the uniform average; row x with leading set bit at position s
-    (counted from the most significant bit) carries ``+-2**-((s+1)/2)`` on
-    the 2**(s+1) columns whose trailing bits agree with x. Every column has
-    exactly n+1 nonzero entries, so backward transitions are uniform over
-    n+1 candidates and the certified bound is sqrt(n+1). The adjoint is the
-    transpose, a flag: each step takes the other direction's law and
-    exchanges the two ratios, which keeps the bound at the pair (2, 2).
+    One scale rule gives every row. Row x keeps its ``low`` trailing bits,
+    where ``low`` is one less than the bit length of x, and frees the other
+    ``free = n - low``: it carries ``+-2**(-free/2)`` on the 2**free columns
+    whose trailing bits agree with x, with the sign of column bit ``low``.
+    Row 0, the uniform average, is the coarsest scale (``low = 0``,
+    ``free = n``) with sign +1. Every column has exactly n+1 nonzero
+    entries, so backward transitions are uniform over n+1 candidates and
+    the certified bound is sqrt(n+1). The adjoint is the transpose, a flag:
+    each step takes the other direction's law and exchanges the two ratios,
+    which keeps the bound at the pair (2, 2).
     """
 
     def __init__(self, n_bits: int, pair: NormPair = NormPair()):
@@ -560,42 +563,34 @@ class HaarWavelet(PathOperator):
         self.bound = math.sqrt(n_bits + 1)
         self.structure = ("haar", n_bits)
 
-    def _leading(self, x: int) -> int:
-        """Position of the leading set bit, counted from the top (x > 0)."""
-        return self._n - x.bit_length()
+    def _scale(self, x: int):
+        """Row x's (low, free): its fixed trailing bits and its free ones."""
+        low = max(x.bit_length() - 1, 0)
+        return low, self._n - low
 
     def entry(self, x: int, y: int) -> float:
         if self._transposed:
             x, y = y, x
-        n = self._n
-        if x == 0:
-            return 2.0 ** (-n / 2.0)
-        s = self._leading(x)
-        low = n - 1 - s
+        low, free = self._scale(x)
         if (y ^ x) & ((1 << low) - 1):
             return 0.0
-        sign = -1.0 if (y >> low) & 1 else 1.0
-        return sign * 2.0 ** (-(s + 1) / 2.0)
+        sign = -1.0 if x and (y >> low) & 1 else 1.0
+        return sign * 2.0 ** (-free / 2.0)
 
     def _step(self, i: int, rng, along_row: bool) -> Transition:
         """A step of the transform's law along row i to a column, or along
         column i to a row; the transpose exchanges the two ratios."""
         n = self._n
         if along_row:
-            if i == 0:
-                j = int(rng.random() * self.rows)
-                rp = 2.0 ** (n / 2.0)
-                rq = (n + 1) * 2.0 ** (-n / 2.0)
-            else:
-                s = self._leading(i)
-                low = n - 1 - s
-                free = s + 1
-                r = int(rng.random() * (1 << free))
-                j = (r << low) | (i & ((1 << low) - 1))
-                sign = -1.0 if (j >> low) & 1 else 1.0
-                rp = sign * 2.0 ** (free / 2.0)
-                rq = sign * (n + 1) * 2.0 ** (-free / 2.0)
+            low, free = self._scale(i)
+            r = int(rng.random() * (1 << free))
+            j = (r << low) | (i & ((1 << low) - 1))
+            sign = -1.0 if i and (j >> low) & 1 else 1.0
+            rp = sign * 2.0 ** (free / 2.0)
+            rq = sign * (n + 1) * 2.0 ** (-free / 2.0)
         else:
+            # candidate c = n frees n bits too, so the column law keeps
+            # row 0 as its own case
             c = int(rng.random() * (n + 1))
             if c == 0:
                 j = 0
@@ -623,19 +618,14 @@ class HaarWavelet(PathOperator):
             for e in self._flipped(False).entries():
                 yield SupportEntry(e.col, e.row, None, e.alpha, e.prob_q, e.prob_p)
             return
-        n = self._n
-        inv_q = 1.0 / (n + 1)
-        for y in range(self.cols):
-            yield SupportEntry(0, y, None, complex(2.0 ** (-n / 2.0)), 2.0 ** (-n), inv_q)
-        for x in range(1, self.rows):
-            s = self._leading(x)
-            low = n - 1 - s
-            prob_p = 2.0 ** (-(s + 1))
+        inv_q = 1.0 / (self._n + 1)
+        for x in range(self.rows):
+            low, free = self._scale(x)
+            prob_p = 2.0 ** (-free)
             tail = x & ((1 << low) - 1)
-            for r in range(1 << (s + 1)):
+            for r in range(1 << free):
                 y = (r << low) | tail
-                a = self.entry(x, y)
-                yield SupportEntry(x, y, None, complex(a), prob_p, inv_q)
+                yield SupportEntry(x, y, None, complex(self.entry(x, y)), prob_p, inv_q)
 
     def _flipped(self, conjugate):
         out = copy.copy(self)

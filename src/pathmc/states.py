@@ -36,23 +36,22 @@ from .sampling import CumulativeTable
 _NORM_TOL = 1e-9
 
 
-def _law(weights: np.ndarray, p: float):
-    """|amplitude|**p law as (indices, probabilities); p = inf means the
-    uniform law on the set of maximal entries."""
+def _law(weights: np.ndarray, p: float) -> list:
+    """|amplitude|**p law as one probability per index, 0.0 off the support;
+    p = inf means the uniform law on the set of maximal entries. An empty
+    list means the vector has no weight."""
     mags = np.abs(weights)
     if p == math.inf:
         top = float(mags.max()) if mags.size else 0.0
         if top == 0.0:
-            return [], []
-        idx = np.flatnonzero(mags >= top * (1.0 - 1e-15))
-        share = 1.0 / idx.size
-        return [int(i) for i in idx], [share] * idx.size
+            return []
+        hit = mags >= top * (1.0 - 1e-15)
+        return np.where(hit, 1.0 / np.count_nonzero(hit), 0.0).tolist()
     raised = mags ** p
     total = float(raised.sum())
     if total == 0.0:
-        return [], []
-    idx = np.flatnonzero(raised)
-    return [int(i) for i in idx], [float(raised[i] / total) for i in idx]
+        return []
+    return (raised / total).tolist()
 
 
 class SampleableState:
@@ -256,23 +255,22 @@ class DenseVector(SampleableState):
         return float(np.sum(mags ** p) ** (1.0 / p))
 
     def _lawfor(self, p):
+        """The law at exponent p as (probabilities, their cumulative table)."""
         hit = self._laws.get(p)
         if hit is None:
-            idx, probs = _law(self._vec, p)
-            if not idx:
+            probs = _law(self._vec, p)
+            if not probs:
                 raise ZeroVector("the vector has no weight")
-            lookup = {i: pr for i, pr in zip(idx, probs)}
-            hit = (idx, CumulativeTable(probs), lookup)
+            hit = (probs, CumulativeTable(probs))
             self._laws[p] = hit
         return hit
 
     def law_prob(self, i, p):
-        _, _, lookup = self._lawfor(p)
-        return lookup.get(i, 0.0)
+        probs = self._lawfor(p)[0]
+        return probs[i] if 0 <= i < self.dim else 0.0
 
     def sample_index(self, p, rng):
-        idx, table, _ = self._lawfor(p)
-        return idx[table.draw(rng)]
+        return self._lawfor(p)[1].draw(rng)
 
     def support(self):
         return [int(i) for i in np.flatnonzero(self._vec)]

@@ -665,6 +665,91 @@ def test_non_finite_result_exits_three(capsys, tmp_path, command):
     assert "not finite" in err
 
 
+def _wide(bits, measurement):
+    # a uniform state on 2**bits levels measured by one structured operator
+    return {"schema_version": 1, "n_levels": 1 << bits, "p": 2,
+            "state": {"kind": "uniform"}, "operators": [], "measurement": measurement}
+
+
+_WIDE_MEASUREMENTS = {
+    "uniform": lambda n: {"kind": "pauli", "letters": "Z" * n},
+    "hadamard": lambda n: {"kind": "hadamard", "qubits": n},
+    "grover": lambda n: {"kind": "grover", "qubits": n},
+    "haar": lambda n: {"kind": "haar", "bits": n},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WIDE_MEASUREMENTS))
+def test_level_count_beyond_the_float_range_exits_two(capsys, tmp_path, kind):
+    bits = 1500 if kind == "haar" else 1100
+    path = write(tmp_path, _wide(bits, _WIDE_MEASUREMENTS[kind](bits)))
+    for command in ("estimate", "exact", "imax"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (2, ""), command
+        assert err == "pathmc: $.n_levels: integer outside the float range\n"
+    # 2**1023 levels are still a float: the closed forms run, the dense
+    # reference is refused at its cap
+    path = write(tmp_path, _wide(1023, _WIDE_MEASUREMENTS[kind](1023)))
+    assert run_cli(capsys, "estimate", path, "--epsilon", "1e300")[0] == 0
+    assert run_cli(capsys, "imax", path)[0] == 0
+    code, out, err = run_cli(capsys, "exact", path)
+    assert (code, out) == (3, "") and "above the dense cap" in err
+
+
+def _nested_scaled(depth):
+    # written as text: the encoder would recurse once per level
+    spec = '{"kind": "scaled", "scale": 1.0, "inner": ' * depth \
+        + '{"kind": "pauli", "letters": "X"}' + "}" * depth
+    return json.dumps(_circuit(_BASIS, ["OP"], _Z)).replace('"OP"', spec)
+
+
+def test_deep_nesting_exits_two(capsys, tmp_path):
+    # past the decoder's recursion limit
+    path = write(tmp_path, "[" * 100_000)
+    for command in ("estimate", "exact", "imax"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (2, "") and err.startswith("pathmc: ")
+        assert "nests too deeply" in err
+    # decodable from a fresh interpreter, but deeper than the loader's
+    # operator nesting limit
+    path = write(tmp_path, _nested_scaled(985))
+    at = "$.operators[0]" + ".inner" * (cli._MAX_NESTING + 1)
+    for command in ("estimate", "exact", "imax"):
+        done = subprocess.run([sys.executable, "-m", "pathmc", command, path],
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr[-2000:]
+        assert done.stderr == \
+            f"pathmc: {at}: operators nest more than {cli._MAX_NESTING} levels deep\n"
+    code, out, _ = run_cli(capsys, "estimate", write(tmp_path, _nested_scaled(20)),
+                           "--epsilon", "0.2")
+    assert code == 0
+    assert abs(json.loads(out)["estimate_re"] + 1.0) <= 0.2
+
+
+_ESTIMATE_STREAMS = """
+import json, sys
+from pathmc.cli import load_file
+from pathmc.engine import estimate_expectation
+r = estimate_expectation(load_file(sys.argv[1]), 0.05, 0.05, seed=4, workers=int(sys.argv[2]))
+print(json.dumps([r.estimate.real, r.estimate.imag, r.k, r.empirical_std]))
+"""
+
+
+def test_workers_above_k_run_k_streams():
+    # streams past the K-th draw no path, so 10**12 requested streams cost
+    # what K streams cost and report the same numbers
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+
+    def run(workers):
+        done = subprocess.run([sys.executable, "-c", _ESTIMATE_STREAMS, BELL, str(workers)],
+                              capture_output=True, text=True, timeout=20, env=env)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    many = run(10 ** 12)
+    assert many == run(many[2])
+
+
 _OVERSIZED = {
     "hadamard": {"kind": "hadamard", "qubits": 10 ** 6},
     "haar": {"kind": "haar", "bits": 10 ** 6},

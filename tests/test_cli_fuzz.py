@@ -98,10 +98,6 @@ def mutated_documents(draw):
     for _ in range(rnd.randint(1, 3)):
         at = rnd.choice(list(_nodes(doc)))
         value = copy.deepcopy(rnd.choice(KINDS if at and at[-1] == "kind" else ODD))
-        if at == ("n_levels",) and isinstance(value, int) and value > 8:
-            # an O(n_levels) uniform state at a huge dimension runs out of
-            # memory; that refusal is not part of this contract yet
-            value = 8
         doc = _set(doc, at, value)
     return doc
 

@@ -531,10 +531,21 @@ def test_dense_optimal_adjoint_and_transpose(monkeypatch):
     assert calls == []
 
 
+def _haar_reference(n):
+    """The Haar matrix by its recursion: the top half repeats the (k-1)-bit
+    transform on both halves of the index, the bottom half differences them."""
+    h = np.ones((1, 1))
+    for k in range(n):
+        h = np.vstack([np.kron([1.0, 1.0], h),
+                       np.kron([1.0, -1.0], np.eye(1 << k))]) / math.sqrt(2.0)
+    return h
+
+
 def test_haar_adjoint_is_its_transpose():
-    for n in (1, 3):
+    for n in (1, 2, 3, 5):
         op = haar_wavelet(n)
-        ref = op.dense()
+        ref = _haar_reference(n)
+        assert_operator_certificate(op, ref, draws=1000)
         for flipped in (op.adjoint(), op.transpose()):
             assert type(flipped) is type(op)
             assert flipped.bound == op.bound

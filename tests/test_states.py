@@ -31,11 +31,11 @@ from pathmc.errors import (
 )
 
 
-def check_state_laws(state, draws=40_000, seed=11):
+def check_state_laws(state, draws=40_000, seed=11, exponents=(1.0, 2.0, 4.0, math.inf)):
     """The sampling law at each exponent matches the advertised
     probabilities, which sum to one over the support."""
     vec = state.vector()
-    for p in (1.0, 2.0, 4.0, math.inf):
+    for p in exponents:
         probs = {i: state.law_prob(i, p) for i in state.support()}
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
         if p == math.inf:
@@ -116,6 +116,16 @@ def test_dense_vector():
     assert s.pnorm(2.0) == pytest.approx(float(np.linalg.norm(amps)))
     assert s.pnorm(math.inf) == pytest.approx(math.sqrt(0.5))
     check_state_laws(s)
+    # zero entries at both ends and between: the law is 0.0 there and
+    # outside the index range, and no draw lands on them
+    edged = dense_vector([0, 0.6, 0, 0.8j, 0])
+    for p in (1.0, 2.0, 3.0, math.inf):
+        low, high = (0.0, 1.0) if p == math.inf else (0.6 ** p, 0.8 ** p)
+        want = [0.0, 0.0, low / (low + high), 0.0, high / (low + high), 0.0, 0.0]
+        got = [edged.law_prob(i, p) for i in range(-1, 6)]
+        assert got == pytest.approx(want, abs=1e-15)
+        assert [got[i] for i in (0, 1, 3, 5, 6)] == [0.0] * 5
+    check_state_laws(edged, draws=20_000, exponents=(1.0, 2.0, 3.0, math.inf))
     # an all-zero vector constructs (its norm is a legitimate 0) but has
     # no sampling law to offer
     zero = dense_vector([0.0, 0.0])
