@@ -1,12 +1,15 @@
-"""Exact pins of ``pathmc estimate`` reports.
+"""Exact pins of ``pathmc estimate`` reports and ``pathmc imax`` output.
 
-Each case runs the CLI on a fixture (``dense_laws.json`` at two exponent
-pairs, the three loadable fixtures, ``flip_kinds.json``, whose estimate
-samples the adjoint of one unitary of every kind, and
+Each estimate case runs the CLI on a fixture (``dense_laws.json`` at two
+exponent pairs, the three loadable fixtures, ``flip_kinds.json``, whose
+estimate samples the adjoint of one unitary of every kind, and
 ``stochastic_kinds.json``, a stochastic chain of structured kinds) at two
 seeds and two worker counts, and compares every report key except
-``elapsed_s`` with ``fixtures/pinned_reports.json`` exactly. A change that is meant to move
-these values regenerates the pins with
+``elapsed_s`` with ``fixtures/pinned_reports.json`` exactly. Each imax case
+runs ``pathmc imax`` on the same fixture and exponent and compares its
+stdout byte for byte; together the fixtures hold every kind with a closed
+form capacity. A change that is meant to move these values regenerates the
+pins with
 
     PYTHONPATH=src python tests/test_pinned_reports.py
 
@@ -48,9 +51,12 @@ CASES = {
     for workers in WORKERS
 }
 
+IMAX_CASES = {f"imax {name} p={p or 'file'}": (name, p) for name, p, _, _ in FILES}
 
-def report(name, p, epsilon, delta, seed, workers) -> dict:
-    """The parsed ``pathmc estimate`` report without ``elapsed_s``."""
+
+def run(name, p, *flags) -> str:
+    """stdout of a successful CLI command on a fixture, at exponent p if
+    given."""
     doc = json.loads((FIXTURES / name).read_text())
     if p is not None:
         doc["p"] = p
@@ -59,13 +65,22 @@ def report(name, p, epsilon, delta, seed, workers) -> dict:
         path = Path(tmp) / name
         path.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(out):
-            code = main(["estimate", str(path), "--epsilon", str(epsilon),
-                         "--delta", str(delta), "--seed", str(seed),
-                         "--workers", str(workers)])
+            code = main([flags[0], str(path), *flags[1:]])
     assert code == 0
-    doc = json.loads(out.getvalue())
+    return out.getvalue()
+
+
+def report(name, p, epsilon, delta, seed, workers) -> dict:
+    """The parsed ``pathmc estimate`` report without ``elapsed_s``."""
+    doc = json.loads(run(name, p, "estimate", "--epsilon", str(epsilon),
+                         "--delta", str(delta), "--seed", str(seed),
+                         "--workers", str(workers)))
     del doc["elapsed_s"]
     return doc
+
+
+def imax(name, p) -> str:
+    return run(name, p, "imax")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -74,7 +89,14 @@ def test_report_matches_its_pin(case):
     assert report(*CASES[case]) == pins[case]
 
 
+@pytest.mark.parametrize("case", sorted(IMAX_CASES))
+def test_imax_matches_its_pin(case):
+    pins = json.loads(PINS.read_text())
+    assert imax(*IMAX_CASES[case]) == pins[case]
+
+
 if __name__ == "__main__":
     pins = {case: report(*CASES[case]) for case in sorted(CASES)}
+    pins.update((case, imax(*IMAX_CASES[case])) for case in sorted(IMAX_CASES))
     PINS.write_text(json.dumps(pins, indent=1) + "\n")
     print(f"wrote {len(pins)} pins to {PINS}", file=sys.stderr)
