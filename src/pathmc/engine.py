@@ -330,35 +330,19 @@ def _interference_state(units, sigma) -> float:
     return float(np.trace(chain @ sigma @ chain.T).real)
 
 
-_CLOSED_FORMS = {
-    "permutation": lambda s: 1.0,
-    "diagonal": lambda s: 1.0,
-    "pauli": lambda s: 1.0,
-    "oracle": lambda s: 1.0,
-    "uniform_dyad": lambda s: 1.0,
-    "projector_family": lambda s: 1.0,
-    "haar": lambda s: math.sqrt(s[1] + 1),
-    "fourier": lambda s: 2.0 ** (s[1] / 2.0),
-    "hadamard": lambda s: 2.0 ** (s[1] / 2.0),
-    "grover": lambda s: 3.0 - 4.0 / (1 << s[1]),
-}
-
-
 def interference_capacity(target: PathOperator) -> float:
     """The largest interference a single insertion of the operator can
     contribute: the induced q -> q norm of its entrywise magnitudes.
 
-    Operators that declare special structure, and their flips, use exact
-    closed forms. Each such ``|A|`` other than Haar's has every row and
+    An operator whose builder set its ``capacity`` reports that closed form,
+    as do its flips. Each such ``|A|`` other than Haar's has every row and
     column sum equal to one value, which is its induced norm at every q.
     Haar's row sums differ; its closed form sqrt(n + 1) is the 2-norm, and
     (2, 2) is the only pair it supports. Everything else is priced densely,
     subject to the dense cap.
     """
-    if target.structure:
-        form = _CLOSED_FORMS.get(target.structure[0])
-        if form is not None:
-            return form(target.structure)
+    if target.capacity is not None:
+        return target.capacity
     require_dense(max(target.rows, target.cols))
     return induced_norm(entrywise_abs(target.dense()), target.pair.q)
 

@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParameter,
     IterationLimit,
+    NonFiniteResult,
     OracleCapExceeded,
 )
 
@@ -157,50 +158,35 @@ def _vec_norm(x: np.ndarray, p: float) -> float:
 def block_decompose(b) -> list:
     """Split a nonnegative matrix into connected bipartite blocks.
 
-    Returns a list of ``(row_indices, col_indices)`` pairs, ordered by the
-    smallest index they contain. Rows and columns with no support come back
-    as singleton blocks with an empty other side.
+    Returns a list of ``(row_indices, col_indices)`` pairs, each side sorted,
+    ordered by the smallest row they contain and then by the smallest
+    column. Rows and columns with no support come back as singleton blocks
+    with an empty other side.
     """
     mat = entrywise_abs(b)
     n_rows, n_cols = mat.shape
-    row_adj = [np.flatnonzero(mat[m]) for m in range(n_rows)]
-    col_adj = [np.flatnonzero(mat[:, n]) for n in range(n_cols)]
+    # union-find over rows 0..n_rows-1 and columns n_rows..; every root is
+    # the smallest member of its set, so blocks first meet in output order
+    parent = list(range(n_rows + n_cols))
 
-    seen_r = [False] * n_rows
-    seen_c = [False] * n_cols
-    blocks = []
-    for start in range(n_rows):
-        if seen_r[start]:
-            continue
-        seen_r[start] = True
-        if row_adj[start].size == 0:
-            blocks.append(([start], []))
-            continue
-        rows, cols = [start], []
-        stack = [("r", start)]
-        while stack:
-            side, idx = stack.pop()
-            if side == "r":
-                for n in row_adj[idx]:
-                    n = int(n)
-                    if not seen_c[n]:
-                        seen_c[n] = True
-                        cols.append(n)
-                        stack.append(("c", n))
-            else:
-                for m in col_adj[idx]:
-                    m = int(m)
-                    if not seen_r[m]:
-                        seen_r[m] = True
-                        rows.append(m)
-                        stack.append(("r", m))
-        blocks.append((sorted(rows), sorted(cols)))
-    for n in range(n_cols):
-        if not seen_c[n]:
-            blocks.append(([], [n]))
-    blocks.sort(key=lambda rc: (rc[0][0] if rc[0] else math.inf,
-                                rc[1][0] if rc[1] else math.inf))
-    return blocks
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    ms, ns = np.nonzero(mat)
+    for m, n in zip(ms.tolist(), (ns + n_rows).tolist()):
+        if parent[m] != parent[n]:
+            a, c = find(m), find(n)
+            parent[max(a, c)] = min(a, c)
+    blocks: dict = {}
+    for x in range(n_rows + n_cols):
+        rows, cols = blocks.setdefault(find(x), ([], []))
+        if x < n_rows:
+            rows.append(x)
+        else:
+            cols.append(x - n_rows)
+    return list(blocks.values())
 
 
 def _power_fixed_point(block: np.ndarray, p: float, q: float, v0: np.ndarray):
@@ -267,7 +253,10 @@ def generalized_singular_vectors(b, pair: NormPair) -> PositiveVectorPair:
     Solves the alternating fixed-point problem on every connected block
     (each block's pair is normalised within the block) and pads rows and
     columns without support with ones. ``norm_estimate`` is the induced
-    q -> q norm, i.e. the largest block value.
+    q -> q norm, i.e. the largest block value. At an exponent so extreme
+    that the vectors under- or overflow (a zero, an infinity or a NaN in
+    ``u`` or ``v``, or an infinite norm), the result is refused with
+    :class:`NonFiniteResult` rather than returned.
     """
     mat = entrywise_abs(b)
     if not (1.0 < pair.p < math.inf):
@@ -283,6 +272,11 @@ def generalized_singular_vectors(b, pair: NormPair) -> PositiveVectorPair:
         u[rows] = bu
         v[cols] = bv
         norm = max(norm, est)
+    # NaN fails every comparison, so this also refuses NaN entries
+    if not (norm < math.inf and ((u > 0.0) & (u < math.inf)).all()
+            and ((v > 0.0) & (v < math.inf)).all()):
+        raise NonFiniteResult(
+            f"the norming vectors at p = {pair.p} are not finite and strictly positive")
     return PositiveVectorPair(u=u, v=v, norm_estimate=norm)
 
 

@@ -77,15 +77,17 @@ class PathOperator:
     Every subclass flips itself once, in ``_flipped(conjugate)``: it returns
     its transpose, or with ``conjugate`` its adjoint, sampling its own laws
     certified for the same exponent pair. ``adjoint()`` and ``transpose()``
-    are that one method; no generic flip swaps another operator's laws."""
+    are that one method; no generic flip swaps another operator's laws.
+
+    ``capacity`` is the operator's interference capacity, the induced
+    q -> q norm of ``|A|``, when its builder knows a closed form for it, and
+    None otherwise."""
 
     rows: int
     cols: int
     bound: float
     pair: NormPair
-    #: Optional declaration of special structure, used for closed-form
-    #: interference capacities (e.g. ("haar", n)).
-    structure: tuple | None = None
+    capacity: float | None = None
 
     def sample_forward(self, m: int, rng) -> Transition:
         raise NotImplementedError
@@ -111,10 +113,10 @@ class PathOperator:
 
     def _flip(self, conjugate: bool) -> "PathOperator":
         out = self._flipped(conjugate)
-        # a combinator's flip is a fresh instance without the structure its
+        # a combinator's flip is a fresh instance without the capacity its
         # builder set; every closed form (equal row and column sums of |A|,
         # or Haar's 2-norm at (2, 2)) is unchanged by transposing |A|
-        out.structure = self.structure
+        out.capacity = self.capacity
         return out
 
     def _flipped(self, conjugate: bool) -> "PathOperator":
@@ -366,21 +368,22 @@ class PhasedPermutation(PathOperator):
     entry, ``backward(n)`` the row and phase of column n's.
 
     Both laws are deterministic, so both ratios are the phase and the bound
-    is 1 at every exponent pair. The maps hold the structure and nothing
-    more: lists for a general permutation or diagonal, a bit mask for a
-    Pauli string, the shift function for an oracle, nothing for the
+    is 1 at every exponent pair, as is the capacity. The maps are all the
+    operator holds: lists for a general permutation or diagonal, a bit mask
+    for a Pauli string, the shift function for an oracle, nothing for the
     identity. The transpose swaps the maps; the adjoint also conjugates the
     phase.
     """
 
-    def __init__(self, dim: int, forward, backward, pair: NormPair, structure: tuple):
+    capacity = 1.0
+
+    def __init__(self, dim: int, forward, backward, pair: NormPair):
         self.rows = self.cols = dim
         self._forward = forward
         self._backward = backward
         self._conjugate = False
         self.pair = pair
         self.bound = 1.0
-        self.structure = structure
 
     def sample_forward(self, m, rng):
         n, ph = self._forward(m)
@@ -410,7 +413,7 @@ class PhasedPermutation(PathOperator):
 _ONE = 1.0 + 0.0j
 
 
-def _listed(perm, phases, pair: NormPair, structure: tuple) -> PhasedPermutation:
+def _listed(perm, phases, pair: NormPair) -> PhasedPermutation:
     """A permutation with phases, held as one (index, phase) list per axis."""
     perm = [int(x) for x in perm]
     dim = len(perm)
@@ -429,7 +432,7 @@ def _listed(perm, phases, pair: NormPair, structure: tuple) -> PhasedPermutation
     by_col = [None] * dim
     for m, (n, ph) in enumerate(by_row):
         by_col[n] = (m, ph)
-    return PhasedPermutation(dim, by_row.__getitem__, by_col.__getitem__, pair, structure)
+    return PhasedPermutation(dim, by_row.__getitem__, by_col.__getitem__, pair)
 
 
 def _unit_phase(m: int):
@@ -439,17 +442,17 @@ def _unit_phase(m: int):
 def identity_op(dim: int, pair: NormPair = NormPair()) -> PhasedPermutation:
     if dim <= 0:
         raise InvalidParameter("empty permutation")
-    return PhasedPermutation(dim, _unit_phase, _unit_phase, pair, ("permutation",))
+    return PhasedPermutation(dim, _unit_phase, _unit_phase, pair)
 
 
 def permutation(perm, phases=None, pair: NormPair = NormPair()) -> PhasedPermutation:
-    return _listed(perm, phases, pair, ("permutation",))
+    return _listed(perm, phases, pair)
 
 
 def diagonal_unitary(values, pair: NormPair = NormPair()) -> PhasedPermutation:
     """Diagonal matrix of a sequence of unit-modulus values."""
     values = list(values)
-    return _listed(range(len(values)), values, pair, ("diagonal",))
+    return _listed(range(len(values)), values, pair)
 
 
 _PAULI_LETTERS = frozenset("IXYZ")
@@ -476,7 +479,7 @@ def pauli_string(letters: str, pair: NormPair = NormPair()) -> PhasedPermutation
     forward = _xor_map(flip, signs, (even, odd))
     # column n's entry sits in row n ^ flip, whose sign parity differs by #Y
     backward = forward if ys % 2 == 0 else _xor_map(flip, signs, (odd, even))
-    return PhasedPermutation(1 << len(letters), forward, backward, pair, ("pauli",))
+    return PhasedPermutation(1 << len(letters), forward, backward, pair)
 
 
 class FlatOperator(PathOperator):
@@ -487,14 +490,16 @@ class FlatOperator(PathOperator):
     phase and the certified bound is ``N * s`` for every exponent pair. The
     operator holds its phase table, never the N x N matrix. Symmetry makes
     the transpose the operator itself; the adjoint conjugates the table.
+    Every row and column sum of ``|A|`` is ``N * s``, which the builder
+    passes as the ``capacity`` in its own closed form.
     """
 
-    def __init__(self, dim: int, magnitude: float, phases, key, structure: tuple,
+    def __init__(self, dim: int, magnitude: float, phases, key, capacity: float,
                  pair: NormPair = NormPair()):
         self.rows = self.cols = dim
         self.pair = pair
         self.bound = dim * magnitude
-        self.structure = structure
+        self.capacity = capacity
         self._magnitude = magnitude
         self._phases = [complex(ph) for ph in phases]
         self._key = key
@@ -522,17 +527,17 @@ class FlatOperator(PathOperator):
             return self
         return FlatOperator(self.rows, self._magnitude,
                             [ph.conjugate() for ph in self._phases], self._key,
-                            self.structure, self.pair)
+                            self.capacity, self.pair)
 
 
 def grover_reflection(n_qubits: int, pair: NormPair = NormPair()) -> PathOperator:
     """The reflection 1 - 2|u><u| about the uniform state on n qubits,
     expressed as a two-term mixture with certified bound 3."""
     dim = 1 << n_qubits
-    uniform = FlatOperator(dim, 1.0 / dim, [1.0], lambda m, n: 0,
-                           ("uniform_dyad", dim), pair)
+    uniform = FlatOperator(dim, 1.0 / dim, [1.0], lambda m, n: 0, 1.0, pair)
     op = sum_ops([(1.0, identity_op(dim, pair)), (-2.0, uniform)])
-    op.structure = ("grover", n_qubits)
+    # |A| has every row and column sum 1 - 2/N + (N - 1) * 2/N
+    op.capacity = 3.0 - 4.0 / dim
     return op
 
 
@@ -560,8 +565,7 @@ class HaarWavelet(PathOperator):
         self._transposed = False
         self.rows = self.cols = 1 << n_bits
         self.pair = pair
-        self.bound = math.sqrt(n_bits + 1)
-        self.structure = ("haar", n_bits)
+        self.bound = self.capacity = math.sqrt(n_bits + 1)
 
     def _scale(self, x: int):
         """Row x's (low, free): its fixed trailing bits and its free ones."""
@@ -670,7 +674,7 @@ def shift_oracle(g, x_size: int, y_size: int,
             return x * y_size + (y + sign * int(g(x))) % y_size, _ONE
         return step
 
-    op = PhasedPermutation(x_size * y_size, shift(1), shift(-1), pair, ("oracle",))
+    op = PhasedPermutation(x_size * y_size, shift(1), shift(-1), pair)
     op.query_counter = counter
     return op
 
@@ -681,7 +685,7 @@ def fourier_transform(n_qubits: int, pair: NormPair = NormPair()) -> FlatOperato
     dim = 1 << n_qubits
     roots = [cmath.exp(2j * math.pi * k / dim) for k in range(dim)]
     return FlatOperator(dim, 1.0 / math.sqrt(dim), roots, lambda j, k: j * k % dim,
-                        ("fourier", n_qubits), pair)
+                        2.0 ** (n_qubits / 2.0), pair)
 
 
 def walsh_hadamard(n_qubits: int, pair: NormPair = NormPair()) -> FlatOperator:
@@ -690,7 +694,7 @@ def walsh_hadamard(n_qubits: int, pair: NormPair = NormPair()) -> FlatOperator:
     dim = 1 << n_qubits
     return FlatOperator(dim, 1.0 / math.sqrt(dim), [1.0, -1.0],
                         lambda j, k: (j & k).bit_count() & 1,
-                        ("hadamard", n_qubits), pair)
+                        2.0 ** (n_qubits / 2.0), pair)
 
 
 # ---------------------------------------------------------------------------

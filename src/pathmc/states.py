@@ -77,9 +77,6 @@ class SampleableState:
         """Indices with nonzero amplitude."""
         return [i for i in range(self.dim) if self.amplitude(i) != 0]
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.amplitude(i) for i in range(self.dim)], dtype=complex)
-
 
 class BasisState(SampleableState):
     """The computational basis vector |index> in the given dimension."""
@@ -274,9 +271,6 @@ class DenseVector(SampleableState):
 
     def support(self):
         return [int(i) for i in np.flatnonzero(self._vec)]
-
-    def vector(self):
-        return self._vec.copy()
 
 
 def dense_vector(amplitudes) -> DenseVector:
@@ -551,7 +545,8 @@ def projector_family(table, x_size: int, y_size: int,
 
     Each block projects onto the Fourier phase state whose frequency is the
     table value at x, so every block is a rank-one projector with bound 1
-    and the whole family keeps bound 1.
+    and the whole family keeps bound 1. Every row and column of ``|A|``
+    sums to 1, which is its capacity.
     """
     marks = [int(v) for v in table]
     if len(marks) != x_size:
@@ -561,5 +556,5 @@ def projector_family(table, x_size: int, y_size: int,
         phi = _closed_phase_state(y_size, lambda k, g=g: -2.0 * math.pi * g * k / y_size)
         blocks.append(Dyad(phi, phi, pair))
     family = BlockDiagonal(blocks)
-    family.structure = ("projector_family", x_size, y_size)
+    family.capacity = 1.0
     return family

@@ -60,6 +60,11 @@ def longest_held_sequence(obj, seen=None) -> int:
     return max([0] + [longest_held_sequence(x, seen) for x in held])
 
 
+def state_vector(state) -> np.ndarray:
+    """A state's amplitudes as a dense vector."""
+    return np.array([state.amplitude(i) for i in range(state.dim)], dtype=complex)
+
+
 def dense_from_entries(entries, rows, cols):
     out = np.zeros((rows, cols), dtype=complex)
     for e in entries:

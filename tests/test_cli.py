@@ -665,6 +665,32 @@ def test_non_finite_result_exits_three(capsys, tmp_path, command):
     assert "not finite" in err
 
 
+def _extreme_dense(p, law="optimal"):
+    # the norming vectors of this |A| underflow at p = 1.001 and overflow
+    # at p = 10**6
+    op = {"kind": "dense", "law": law,
+          "matrix": [[1, 2, 0, 0], [0, 1, 0, 3], [1, 0, 1, 0], [0, 0, 2, 1]]}
+    return {"schema_version": 1, "n_levels": 4, "p": p, "state": _BASIS,
+            "operators": [op], "measurement": {"kind": "pauli", "letters": "ZZ"}}
+
+
+@pytest.mark.parametrize("p", [1.001, 1000000])
+def test_extreme_exponents_refuse_the_norming_vectors(capsys, tmp_path, p):
+    # the optimal law builds from the vectors, so its file is refused at load
+    path = write(tmp_path, _extreme_dense(p))
+    for command in ("estimate", "exact", "imax"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (2, ""), command
+        assert "not finite and strictly positive" in err
+    # the row/column law estimates; only its dense capacity needs the vectors,
+    # where it used to print 0.0 at p = 1.001
+    path = write(tmp_path, _extreme_dense(p, "rowcol"))
+    code, out, err = run_cli(capsys, "imax", path)
+    assert (code, out) == (3, "")
+    assert "not finite and strictly positive" in err
+    assert run_cli(capsys, "estimate", path, "--epsilon", "1")[0] == 0
+
+
 def _wide(bits, measurement):
     # a uniform state on 2**bits levels measured by one structured operator
     return {"schema_version": 1, "n_levels": 1 << bits, "p": 2,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import optimal_path_distribution
+from helpers import optimal_path_distribution, state_vector
 from pathmc import (
     Circuit,
     NormPair,
@@ -224,7 +224,8 @@ def test_estimate_amplitude_takes_the_unitaries_pair():
     unitaries = [fourier_transform(2, pair), diagonal_unitary([1.0, 1j, -1.0, 1j], pair)]
     initial, final = basis_state(1, 4), dense_vector([0.5, 0.5j, -0.5, 0.5])
     out = estimate_amplitude(initial, unitaries, final, epsilon=0.1, delta=0.05, seed=3)
-    truth = final.vector().conj() @ unitaries[1].dense() @ unitaries[0].dense() @ initial.vector()
+    truth = (state_vector(final).conj() @ unitaries[1].dense() @ unitaries[0].dense()
+             @ state_vector(initial))
     assert out.report.b == pytest.approx(final.pnorm(3.0) * 2.0 * initial.pnorm(1.5))
     assert abs(out.amplitude - truth) <= 0.1
 
@@ -301,12 +302,13 @@ def test_interference_capacity_closed_forms():
     # (2, 2) alone, where its closed form sqrt(n + 1) is the 2-norm
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         pair = NormPair.from_p(p)
+        family = projector_family([0, 3, 1], 3, 4, pair)
         cases = [
             permutation([2, 0, 1], [1j, -1.0, 1.0], pair),
             diagonal_unitary([1.0, -1.0, 1j], pair),
             pauli_string("XY", pair),
             shift_oracle([1, 2], 2, 3, pair),
-            projector_family([0, 3, 1], 3, 4, pair),
+            family,
         ]
         for n in range(1, 5):
             cases += [grover_reflection(n, pair), fourier_transform(n, pair),
@@ -314,9 +316,12 @@ def test_interference_capacity_closed_forms():
             if p == 2.0:
                 cases.append(haar_wavelet(n, pair))
         for op in cases:
-            got = interference_capacity(op)
-            dense = induced_norm(np.abs(op.dense()), pair.q)
-            assert got == pytest.approx(dense, abs=1e-9), (p, op.structure)
+            # the family's blocks are endpoints, which have no transpose
+            flips = [op.adjoint()] if op is family else [op.adjoint(), op.transpose()]
+            for each in (op, *flips):
+                got = interference_capacity(each)
+                dense = induced_norm(np.abs(each.dense()), pair.q)
+                assert got == pytest.approx(dense, abs=1e-9), (p, type(op), op.capacity)
     assert interference_capacity(walsh_hadamard(2)) == pytest.approx(2.0)
     assert interference_capacity(grover_reflection(3)) == pytest.approx(3.0 - 4.0 / 8.0)
     assert interference_capacity(haar_wavelet(5)) == pytest.approx(math.sqrt(6.0))

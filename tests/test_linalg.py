@@ -8,6 +8,7 @@ from pathmc.errors import (
     DimensionMismatch,
     InvalidParameter,
     IterationLimit,
+    NonFiniteResult,
     OracleCapExceeded,
 )
 from pathmc.linalg import (
@@ -69,6 +70,9 @@ def test_block_decompose_connected_components():
     assert ((1,), ()) in as_sets
     assert ((3,), ()) in as_sets or ((4,), ()) in as_sets
     assert ((), (0,)) in as_sets
+    # ordered by smallest row, then smallest column, each side sorted
+    assert blocks == [([0], [1]), ([1], []), ([2], [3, 4]), ([3], []), ([4], []),
+                      ([], [0]), ([], [2])]
 
 
 def test_induced_norm_closed_forms():
@@ -142,6 +146,19 @@ def test_generalized_singular_vectors_certificate():
 def test_generalized_singular_vectors_requires_interior_p():
     with pytest.raises(InvalidParameter):
         generalized_singular_vectors(np.ones((2, 2)), NormPair(1.0, math.inf))
+
+
+def test_extreme_exponents_are_refused():
+    # at q = 1000 the power iteration's u = w**(q/p) underflows to zero,
+    # which used to report a norm of 0.0 for this nonzero matrix
+    b = np.array([[1, 2, 0, 0], [0, 1, 0, 3], [1, 0, 1, 0], [0, 0, 2, 1]], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteResult):
+        induced_norm(b, 1000.0)
+    for p in (1.002, 1.5, 3.0, 300.0):
+        pv = generalized_singular_vectors(b, NormPair.from_p(p))
+        assert math.isfinite(pv.norm_estimate)
+        for w in (pv.u, pv.v):
+            assert np.all(w > 0.0) and np.all(np.isfinite(w))
 
 
 def test_power_iteration_limit_carries_best_estimate(monkeypatch):

@@ -413,7 +413,7 @@ def test_flips_are_the_adjoint_and_the_transpose(name, p):
 
 
 def test_flips_keep_the_closed_form_structure():
-    # a builder sets the structure after construction, which a combinator's
+    # a builder sets the capacity after construction, which a combinator's
     # flip alone would drop; above the dense cap that refused the capacity
     assert interference_capacity(grover_reflection(12).adjoint()) == 3.0 - 4.0 / 4096
     family = projector_family([0, 1], 2, ORACLE_CAP)
@@ -424,7 +424,7 @@ def test_flips_keep_the_closed_form_structure():
         if not issubclass(cls, ChainEndpoint):
             flips.append(op.transpose())
         for flipped in flips:
-            assert flipped.structure == op.structure, name
+            assert flipped.capacity == op.capacity, name
 
 
 def test_table_operators_are_two_weightings_of_one_law():
@@ -549,7 +549,7 @@ def test_haar_adjoint_is_its_transpose():
         for flipped in (op.adjoint(), op.transpose()):
             assert type(flipped) is type(op)
             assert flipped.bound == op.bound
-            assert flipped.structure == op.structure
+            assert flipped.capacity == op.capacity
             assert_operator_certificate(flipped, ref.T, draws=1000)
             cells = [(x, y) for x in range(op.rows) for y in range(op.cols)]
             assert [flipped.entry(y, x) for x, y in cells] == [op.entry(x, y) for x, y in cells]

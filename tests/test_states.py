@@ -8,6 +8,7 @@ from helpers import (
     assert_endpoint_certificate,
     assert_operator_certificate,
     dense_from_entries,
+    state_vector,
 )
 from pathmc import (
     NormPair,
@@ -34,7 +35,7 @@ from pathmc.errors import (
 def check_state_laws(state, draws=40_000, seed=11, exponents=(1.0, 2.0, 4.0, math.inf)):
     """The sampling law at each exponent matches the advertised
     probabilities, which sum to one over the support."""
-    vec = state.vector()
+    vec = state_vector(state)
     for p in exponents:
         probs = {i: state.law_prob(i, p) for i in state.support()}
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
@@ -76,7 +77,7 @@ def test_product_state():
     s = product_state([plus, skew, np.array([0.0, 1.0])])
     assert s.dim == 8
     ref = np.kron(plus, np.kron(skew, np.array([0.0, 1.0])))
-    assert np.allclose(s.vector(), ref)
+    assert np.allclose(state_vector(s), ref)
     assert s.pnorm(2.0) == pytest.approx(1.0)
     assert s.pnorm(1.0) == pytest.approx(float(np.abs(ref).sum()))
     check_state_laws(s)
@@ -104,14 +105,14 @@ def test_phase_state():
 
 def test_uniform_state():
     s = uniform_state(8)
-    assert np.allclose(s.vector(), np.full(8, 1.0 / math.sqrt(8.0)))
+    assert np.allclose(state_vector(s), np.full(8, 1.0 / math.sqrt(8.0)))
     assert s.law_prob(3, 2.0) == pytest.approx(0.125)
 
 
 def test_dense_vector():
     amps = np.array([0.5, 0.0, -0.5j, 0.5 + 0.5j])
     s = dense_vector(amps)
-    assert np.allclose(s.vector(), amps)
+    assert np.allclose(state_vector(s), amps)
     assert s.support() == [0, 2, 3]
     assert s.pnorm(2.0) == pytest.approx(float(np.linalg.norm(amps)))
     assert s.pnorm(math.inf) == pytest.approx(math.sqrt(0.5))
@@ -145,12 +146,12 @@ def test_dyad_certificate_and_dense():
         sig = dyad(ket, bra, pair)
         assert (sig.rows, sig.cols) == (3, 2)
         assert sig.bound == pytest.approx(bra.pnorm(pair.p) * ket.pnorm(pair.q))
-        ref = np.outer(ket.vector(), bra.vector().conj())
+        ref = np.outer(state_vector(ket), state_vector(bra).conj())
         assert_endpoint_certificate(sig, ref)
     adj = dyad(ket, bra).adjoint()
     assert np.allclose(
         dense_from_entries(adj.entries(), 2, 3),
-        np.outer(bra.vector(), ket.vector().conj()),
+        np.outer(state_vector(bra), state_vector(ket).conj()),
     )
 
 
@@ -267,7 +268,7 @@ def test_state_as_operator():
     ket = dense_vector([0.6, 0.8])
     bra = uniform_state(2)
     op = StateAsOperator(dyad(ket, bra))
-    ref = np.outer(ket.vector(), bra.vector().conj())
+    ref = np.outer(state_vector(ket), state_vector(bra).conj())
     assert_operator_certificate(op, ref)
     assert np.allclose(op.adjoint().dense(), ref.conj().T)
 
